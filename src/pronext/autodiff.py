@@ -110,12 +110,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def numpy(self):
-        return self.data
-
-    def detach(self):
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
     def zero_grad(self):
         self.grad = None
 
@@ -311,15 +305,6 @@ def mul_const(a, c):
     return _make(data, (a,), backward, "mul_const")
 
 
-def add_const(a, c):
-    data = a.data + float(c)
-
-    def backward(g):
-        _accum(a, g)
-
-    return _make(data, (a,), backward, "add_const")
-
-
 def pow_const(a, p):
     p = float(p)
     data = a.data ** p
@@ -339,15 +324,6 @@ def exp(a):
     return _make(data, (a,), backward, "exp")
 
 
-def log(a):
-    data = np.log(a.data)
-
-    def backward(g):
-        _accum(a, g / a.data)
-
-    return _make(data, (a,), backward, "log")
-
-
 def sin(a):
     data = np.sin(a.data)
 
@@ -355,15 +331,6 @@ def sin(a):
         _accum(a, g * np.cos(a.data))
 
     return _make(data, (a,), backward, "sin")
-
-
-def sqrt(a):
-    data = np.sqrt(a.data)
-
-    def backward(g):
-        _accum(a, g * 0.5 / data)
-
-    return _make(data, (a,), backward, "sqrt")
 
 
 def tanh(a):

@@ -8,6 +8,7 @@ array data. Offsets are relative to the start of the data section. Strings
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -57,21 +58,40 @@ def save_arrays(path, arrays):
             fh.write(blob)
 
 
+def _read(fh, n, path):
+    raw = fh.read(n)
+    if len(raw) != n:
+        raise DataError(f"{path}: truncated checkpoint header")
+    return raw
+
+
+def _unpack(fh, fmt, path):
+    return struct.unpack(fmt, _read(fh, struct.calcsize(fmt), path))
+
+
 def load_arrays(path):
-    """Read a checkpoint back into a name -> ndarray mapping."""
-    with open(path, "rb") as fh:
+    """Read a checkpoint back into a name -> ndarray mapping. A missing,
+    truncated or otherwise malformed file raises DataError."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open checkpoint: {exc}") from None
+    with fh:
         if fh.read(4) != MAGIC:
             raise DataError(f"{path}: not a PNXT checkpoint")
-        version, count = struct.unpack("<II", fh.read(8))
+        version, count = _unpack(fh, "<II", path)
         if version != VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
         index = []
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            code, ndim = struct.unpack("<BB", fh.read(2))
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
-            (offset,) = struct.unpack("<Q", fh.read(8))
+            (name_len,) = _unpack(fh, "<H", path)
+            try:
+                name = _read(fh, name_len, path).decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"{path}: record name is not UTF-8") from None
+            code, ndim = _unpack(fh, "<BB", path)
+            shape = _unpack(fh, f"<{ndim}I", path)
+            (offset,) = _unpack(fh, "<Q", path)
             index.append((name, code, shape, offset))
         data = fh.read()
 
@@ -80,7 +100,7 @@ def load_arrays(path):
         dtype = _CODE_DTYPES.get(code)
         if dtype is None:
             raise DataError(f"{path}: unknown dtype code {code} for '{name}'")
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if shape else dtype.itemsize
+        n_bytes = math.prod(shape) * dtype.itemsize
         chunk = data[offset:offset + n_bytes]
         if len(chunk) != n_bytes:
             raise DataError(f"{path}: truncated data for '{name}'")
@@ -118,4 +138,7 @@ def pack_text(s):
 
 
 def unpack_text(arr):
-    return arr.tobytes().decode("utf-8")
+    try:
+        return arr.tobytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise DataError("checkpoint text record is not UTF-8") from None

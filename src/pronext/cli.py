@@ -91,12 +91,12 @@ def cmd_gen_data(args):
 
 
 def _resolve_configs(args):
-    cfg = model_mod.load_model_config(args.config)
+    cfg = model_mod.load_config(model_mod.ModelConfig, args.config)
     if args.parser:
         from dataclasses import replace
         cfg = replace(cfg, parser_mode=PARSER_FLAG_MAP[args.parser]).validate()
     if args.train_config:
-        tcfg = train_mod.load_train_config(args.train_config)
+        tcfg = model_mod.load_config(train_mod.TrainConfig, args.train_config)
     else:
         tcfg = train_mod.TrainConfig(crop=cfg.input_size, resize=cfg.input_size)
     if args.seed is not None:
@@ -271,7 +271,7 @@ def cmd_scale_sweep(args):
 
 def cmd_flops(args):
     if args.config:
-        cfg = model_mod.load_model_config(args.config)
+        cfg = model_mod.load_config(model_mod.ModelConfig, args.config)
         print(f"{cfg.variant_name}/{cfg.patch_size},{model_mod.flop_count(cfg):.6f}")
         return 0
     for item in args.pairs.split(","):

@@ -30,9 +30,6 @@ ABLATION_ROWS = (
                        context_impression_enabled=True)),
 )
 
-SWEEP_PAIRS = (("S", 8), ("S", 4), ("B", 8), ("B", 4))
-
-
 def train_once(cfg, train_cfg, train_ds, test_ds, seed, quiet=True):
     """One training run from scratch; returns held-out accuracy."""
     model = model_mod.ProNextModel(replace(cfg), seed=seed)
@@ -93,10 +90,6 @@ class SweepPoint:
     @property
     def mean(self):
         return float(np.mean(self.seed_accs))
-
-    @property
-    def median(self):
-        return float(np.median(self.seed_accs))
 
 
 def spearman_rank_correlation(xs, ys):

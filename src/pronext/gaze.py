@@ -221,15 +221,13 @@ def _padded_group_indices(binary, value):
     Returns (idx (B, T), valid (B, T)). Padding repeats index 0; padded rows
     are excluded from attention/pooling so they carry zero gradient.
     """
-    B = binary.shape[0]
-    flats = [np.nonzero(binary[b].reshape(-1) == value)[0] for b in range(B)]
-    T = max(len(f) for f in flats)
-    idx = np.zeros((B, T), dtype=np.int64)
-    valid = np.zeros((B, T), dtype=binary.dtype)
-    for b, f in enumerate(flats):
-        idx[b, :len(f)] = f
-        valid[b, :len(f)] = 1.0
-    return idx, valid
+    hit = binary.reshape(binary.shape[0], -1) == value
+    counts = hit.sum(axis=1)
+    T = int(counts.max())
+    # stable sort of the misses puts each row's hits first, in index order
+    idx = np.argsort(~hit, axis=1, kind="stable")[:, :T]
+    valid = np.arange(T) < counts[:, None]
+    return np.where(valid, idx, 0), valid.astype(binary.dtype)
 
 
 def context_impression_batched(f, k, mask, params):

@@ -107,58 +107,58 @@ _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False}
 
 
-def _parse_value(field_type, raw, key):
-    if field_type is bool:
-        try:
-            return _BOOL_WORDS[raw.lower()]
-        except KeyError:
-            raise ConfigError(f"key '{key}': expected a boolean, got '{raw}'") from None
-    if field_type is int:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"key '{key}': expected an integer, got '{raw}'") from None
-    return raw
+def config_text(cfg):
+    """The one writer: one `name = value` line per field, in field order."""
+    return "".join(f"{f.name} = {getattr(cfg, f.name)}\n" for f in fields(cfg))
 
 
-def load_model_config(path):
-    """Read a `key = value` config file; every ModelConfig field is required,
-    unknown keys are errors."""
-    spec = {f.name: f.type for f in fields(ModelConfig)}
-    types = {"input_size": int, "in_channels": int, "stem_channels": int,
-             "patch_size": int, "stages": int, "embed_dim": int,
-             "ca_layers": int, "ca_heads": int, "num_classes": int,
-             "parser_mode": str, "variant_name": str,
-             "context_impression_enabled": bool, "band_pass": bool,
-             "block_norm": bool, "ca_ffn": bool}
+def parse_config(cls, text, source):
+    """The one reader: `text` in the `key = value` format -> validated `cls`.
+
+    Field types come from the dataclass defaults (bool, int, float or str).
+    `#` starts a comment; blank lines are skipped. Every field must appear
+    exactly once. Errors raise ConfigError naming `source` and the line.
+    """
+    types = {f.name: type(f.default) for f in fields(cls)}
     seen = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = stripped.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in spec:
-                raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-            if key in seen:
-                raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
-            seen[key] = _parse_value(types[key], raw, key)
-    missing = sorted(set(spec) - set(seen))
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        where = f"{source}:{lineno}"
+        if "=" not in stripped:
+            raise ConfigError(f"{where}: expected 'key = value'")
+        key, _, raw = stripped.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in types:
+            raise ConfigError(f"{where}: unknown key '{key}'")
+        if key in seen:
+            raise ConfigError(f"{where}: duplicate key '{key}'")
+        kind = types[key]
+        try:
+            seen[key] = _BOOL_WORDS[raw.lower()] if kind is bool else kind(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{where}: expected {kind.__name__} for '{key}', "
+                              f"got '{raw}'") from None
+    missing = [name for name in types if name not in seen]
     if missing:
-        raise ConfigError(f"{path}: missing config key '{missing[0]}'")
-    return ModelConfig(**seen).validate()
+        raise ConfigError(f"{source}: missing config key '{missing[0]}'")
+    return cls(**seen).validate()
 
 
-def save_model_config(cfg, path):
+def load_config(cls, path):
+    """Read a config file (ModelConfig or TrainConfig) with `parse_config`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc}") from None
+    return parse_config(cls, text, path)
+
+
+def save_config(cfg, path):
     with open(path, "w", encoding="utf-8") as fh:
-        for f in fields(ModelConfig):
-            value = getattr(cfg, f.name)
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            fh.write(f"{f.name} = {value}\n")
+        fh.write(config_text(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +266,6 @@ class ProNextModel:
 
     # -- parameter plumbing -------------------------------------------------
 
-    def named_parameters(self):
-        return dict(self.params)
-
     def zero_grad(self):
         for t in self.params.values():
             t.grad = None
@@ -337,11 +334,6 @@ class ProNextModel:
             raise NumericError("non-finite logits in forward pass")
         return Prediction(logits=logits, stage_masks=masks,
                           stage_embeddings=embeddings, fused=fused)
-
-    def predict_classes(self, x):
-        with ad.no_grad():
-            pred = self.forward(x)
-        return np.argmax(pred.logits.data, axis=1)
 
 
 def loss_and_grads(model, pred, target):

@@ -24,16 +24,34 @@ def write_pgm_p2(path, img, maxval=1):
         fh.write("\n".join(lines) + "\n")
 
 
+def _ints(tokens, path):
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise DataError(f"{path}: malformed integer in netpbm file") from None
+
+
+def _dims(fields, path):
+    """(w, h, maxval) from the three header fields."""
+    w, h, maxval = _ints(fields, path)
+    if w < 0 or h < 0 or maxval < 1:
+        raise DataError(f"{path}: bad header {w} x {h}, maxval {maxval}")
+    return w, h, maxval
+
+
 def read_pgm_p2(path):
-    with open(path, encoding="ascii") as fh:
+    # non-ASCII bytes decode to U+FFFD, which then fails `_ints`
+    with open(path, encoding="ascii", errors="replace") as fh:
         tokens = []
         for line in fh:
             line = line.split("#", 1)[0]
             tokens.extend(line.split())
     if not tokens or tokens[0] != "P2":
         raise DataError(f"{path}: not a plain PGM (P2) file")
-    w, h, maxval = (int(t) for t in tokens[1:4])
-    vals = np.array([int(t) for t in tokens[4:]], dtype=np.int64)
+    if len(tokens) < 4:
+        raise DataError(f"{path}: truncated header")
+    w, h, maxval = _dims(tokens[1:4], path)
+    vals = np.array(_ints(tokens[4:], path), dtype=np.int64)
     if vals.size != w * h:
         raise DataError(f"{path}: expected {w * h} pixels, found {vals.size}")
     if vals.max(initial=0) > maxval:
@@ -52,7 +70,7 @@ def _read_header(fh, magic, path):
             raise DataError(f"{path}: truncated header")
         line = line.split(b"#", 1)[0]
         fields.extend(line.split())
-    w, h, maxval = (int(f) for f in fields[:3])
+    w, h, maxval = _dims(fields[:3], path)
     if maxval != 255:
         raise DataError(f"{path}: only maxval 255 supported, got {maxval}")
     return w, h

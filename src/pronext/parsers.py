@@ -78,10 +78,6 @@ class PatchMask:
     def n_context(self):
         return (self.grid_side ** 2 - self.n_focal).astype(int)
 
-    def single(self, i=0):
-        """(probs, binary) of one sample, for unbatched callers."""
-        return self.probs[i], self.binary[i]
-
 
 @dataclass
 class ConditionMaps:
@@ -166,15 +162,13 @@ def band_pass_filter(cond, stage):
     B, P, _ = cond.freq.shape
     n_hi, n_lo = band_pass_elimination_counts(P, stage)
     keep = np.ones((B, P * P), dtype=cond.freq.dtype)
-    if n_hi or n_lo:
-        flat = cond.freq.data.reshape(B, P * P)
-        for b in range(B):
-            asc = np.argsort(flat[b], kind="stable")       # ties: earlier index first
-            if n_lo:
-                keep[b, asc[:n_lo]] = 0.0
-            if n_hi:
-                desc = np.argsort(-flat[b], kind="stable")
-                keep[b, desc[:n_hi]] = 0.0
+    flat = cond.freq.data.reshape(B, P * P)
+    if n_lo:
+        asc = np.argsort(flat, axis=1, kind="stable")      # ties: earlier index first
+        np.put_along_axis(keep, asc[:, :n_lo], 0.0, axis=1)
+    if n_hi:
+        desc = np.argsort(-flat, axis=1, kind="stable")
+        np.put_along_axis(keep, desc[:, :n_hi], 0.0, axis=1)
     keep_t = ad.Tensor(keep.reshape(B, P, P), dtype=cond.freq.dtype)
     return ConditionMaps(amp=ad.mul(cond.amp, keep_t), freq=ad.mul(cond.freq, keep_t))
 
@@ -240,16 +234,14 @@ def run_field_net(grid, field, acts):
 def _threshold_with_fallback(probs):
     """probs (B, P, P) -> binary with 1 <= n_focal <= P^2 - 1 per sample."""
     B, P, _ = probs.shape
-    binary = (probs > 0.5).astype(probs.dtype)
-    counts = binary.sum(axis=(1, 2))
-    full = P * P
-    for b in np.nonzero(counts == 0)[0]:
-        flat = probs[b].reshape(-1)
-        binary[b].reshape(-1)[np.argmax(flat)] = 1.0      # first max, row-major
-    for b in np.nonzero(counts == full)[0]:
-        flat = probs[b].reshape(-1)
-        binary[b].reshape(-1)[np.argmin(flat)] = 0.0      # first min, row-major
-    return binary
+    flat = probs.reshape(B, P * P)
+    binary = (flat > 0.5).astype(probs.dtype)
+    counts = binary.sum(axis=1)
+    none = np.nonzero(counts == 0)[0]
+    binary[none, np.argmax(flat[none], axis=1)] = 1.0     # first max, row-major
+    full = np.nonzero(counts == P * P)[0]
+    binary[full, np.argmin(flat[full], axis=1)] = 0.0     # first min, row-major
+    return binary.reshape(B, P, P)
 
 
 def finish_mask(probs_t, mode):

@@ -16,14 +16,14 @@ master generator; per-sample augmentation streams derive from
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint as ckpt
 from . import model as model_mod
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, DataError, InputError, NumericError
 
 ADAM_EPS = 1e-8
 
@@ -52,38 +52,6 @@ class TrainConfig:
         if self.batch_size < 1 or self.steps < 0:
             raise ConfigError("batch_size >= 1 and steps >= 0 required")
         return self
-
-
-def load_train_config(path):
-    """Same `key = value` format as the model config; all keys required."""
-    types = {f.name: type(getattr(TrainConfig(), f.name)) for f in fields(TrainConfig)}
-    seen = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = stripped.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in types:
-                raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-            caster = types[key]
-            try:
-                seen[key] = caster(raw) if caster is not float else float(raw)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad value for '{key}'") from None
-    missing = sorted(set(types) - set(seen))
-    if missing:
-        raise ConfigError(f"{path}: missing config key '{missing[0]}'")
-    return TrainConfig(**seen).validate()
-
-
-def save_train_config(cfg, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in fields(TrainConfig):
-            fh.write(f"{f.name} = {getattr(cfg, f.name)}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -198,18 +166,12 @@ class AdamW:
         return out
 
     def load_state_arrays(self, arrays):
-        self.t = int(arrays["opt.t"][0])
+        self.t = int(_record(arrays, "opt.t")[0])
         for name in self.m:
             key = f"opt.m.{name}"
             if key in arrays:
                 self.m[name] = arrays[key].copy()
                 self.v[name] = arrays[f"opt.v.{name}"].copy()
-
-
-def optimizer_step(params, grads, state, cfg):
-    """Single-call form of the update for the given AdamW state."""
-    state.step(params, grads, cfg)
-    return params, state
 
 
 # ---------------------------------------------------------------------------
@@ -301,60 +263,35 @@ class Trainer:
         arrays.update(self.optimizer.state_arrays())
         arrays["trainer.step"] = np.array([self.step], dtype=np.int64)
         arrays["trainer.rng"] = ckpt.pack_rng_state(self.rng)
-        arrays["trainer.model_config"] = ckpt.pack_text(_config_text(self.model.cfg))
-        arrays["trainer.train_config"] = ckpt.pack_text(_config_text(self.cfg))
+        arrays["trainer.model_config"] = ckpt.pack_text(model_mod.config_text(self.model.cfg))
+        arrays["trainer.train_config"] = ckpt.pack_text(model_mod.config_text(self.cfg))
         ckpt.save_arrays(path, arrays)
 
     @classmethod
     def resume(cls, path, datasets):
         arrays = ckpt.load_arrays(path)
         model = model_from_checkpoint_arrays(arrays)
-        cfg = _train_config_from_text(ckpt.unpack_text(arrays["trainer.train_config"]))
+        cfg = _config_record(arrays, "trainer.train_config", TrainConfig)
         trainer = cls(model, cfg, datasets)
         trainer.optimizer.load_state_arrays(arrays)
-        trainer.step = int(arrays["trainer.step"][0])
-        trainer.rng = ckpt.unpack_rng_state(arrays["trainer.rng"])
+        trainer.step = int(_record(arrays, "trainer.step")[0])
+        trainer.rng = ckpt.unpack_rng_state(_record(arrays, "trainer.rng"))
         return trainer
 
 
-def _config_text(cfg):
-    return "\n".join(f"{f.name} = {getattr(cfg, f.name)}" for f in fields(cfg)) + "\n"
+def _record(arrays, name):
+    """A record every trainer checkpoint has; without it the file is malformed."""
+    if name not in arrays:
+        raise DataError(f"checkpoint has no '{name}' record")
+    return arrays[name]
 
 
-def _model_config_from_text(text):
-    kwargs = {}
-    casters = {f.name: f for f in fields(model_mod.ModelConfig)}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, _, raw = line.partition("=")
-        key, raw = key.strip(), raw.strip()
-        current = getattr(model_mod.ModelConfig(), key)
-        if isinstance(current, bool):
-            kwargs[key] = raw == "True" or raw == "true"
-        elif isinstance(current, int):
-            kwargs[key] = int(raw)
-        else:
-            kwargs[key] = raw
-    return model_mod.ModelConfig(**kwargs).validate()
-
-
-def _train_config_from_text(text):
-    kwargs = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        key, _, raw = line.partition("=")
-        key, raw = key.strip(), raw.strip()
-        current = getattr(TrainConfig(), key)
-        kwargs[key] = type(current)(float(raw)) if isinstance(current, (int, float)) else raw
-        if isinstance(current, int):
-            kwargs[key] = int(float(raw))
-    return TrainConfig(**kwargs).validate()
+def _config_record(arrays, name, cls):
+    return model_mod.parse_config(cls, ckpt.unpack_text(_record(arrays, name)), name)
 
 
 def model_from_checkpoint_arrays(arrays):
-    cfg = _model_config_from_text(ckpt.unpack_text(arrays["trainer.model_config"]))
+    cfg = _config_record(arrays, "trainer.model_config", model_mod.ModelConfig)
     model = model_mod.ProNextModel(cfg, seed=0)
     model.load_state({n[len("param."):]: a for n, a in arrays.items()
                       if n.startswith("param.")})
@@ -375,10 +312,9 @@ def evaluate(model, dataset, cfg, batch_size=64):
     n = len(dataset)
     correct = 0
     losses = []
-    rng = np.random.default_rng(0)  # unused by eval transforms, kept for signature
     for start in range(0, n, batch_size):
         idx = np.arange(start, min(start + batch_size, n))
-        x = np.stack([augment(dataset.images[i], cfg, rng, train=False) for i in idx])
+        x = np.stack([augment(dataset.images[i], cfg, None, train=False) for i in idx])
         y = one_hot(dataset.labels[idx], model.cfg.num_classes)
         with ad.no_grad():
             pred = model.forward(x.astype(np.float32))

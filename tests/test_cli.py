@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from pronext import checkpoint as ckpt
 from pronext import cli
 from pronext import model as M
 from pronext import train as T
@@ -17,9 +18,9 @@ def workspace(tmp_path):
     cfg = M.ModelConfig(input_size=32, stem_channels=4, patch_size=4, embed_dim=16,
                         ca_layers=1, ca_heads=2, num_classes=4).validate()
     model_cfg = tmp_path / "model.cfg"
-    M.save_model_config(cfg, model_cfg)
+    M.save_config(cfg, model_cfg)
     train_cfg = tmp_path / "train.cfg"
-    T.save_train_config(T.TrainConfig(batch_size=4, steps=3, crop=32, resize=32,
+    M.save_config(T.TrainConfig(batch_size=4, steps=3, crop=32, resize=32,
                                       mixup_alpha=0.0, seed=5), train_cfg)
     data_dir = tmp_path / "data"
     rc = cli.main(["gen-data", "--task", "interaction", "--n", "16",
@@ -140,6 +141,47 @@ class TestEvalAndExplain:
                        "--data", data_dir, "--out", str(tmp_path / "exp_bad"),
                        "--stage", "4", "--quiet"])
         assert rc == 1
+
+
+class TestMalformedInputs:
+    """Bad checkpoints and datasets end in an exit code, never a traceback."""
+
+    FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "parent_step2.ckpt")
+
+    @pytest.mark.parametrize("length", [6, 14, 20, 1000])
+    def test_eval_truncated_checkpoint_exit_2(self, tmp_path, capsys, length):
+        cut = tmp_path / "cut.ckpt"
+        with open(self.FIXTURE, "rb") as fh:
+            cut.write_bytes(fh.read(length))
+        rc = cli.main(["eval", "--checkpoint", str(cut), "--data", str(tmp_path),
+                       "--out", str(tmp_path / "ev"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error:") and "Traceback" not in err
+
+    def test_eval_malformed_snapshot_exit_1(self, tmp_path, capsys):
+        arrays = ckpt.load_arrays(self.FIXTURE)
+        text = ckpt.unpack_text(arrays["trainer.model_config"])
+        arrays["trainer.model_config"] = ckpt.pack_text(text + "depth = 3\n")
+        bad = tmp_path / "bad.ckpt"
+        ckpt.save_arrays(bad, arrays)
+        rc = cli.main(["eval", "--checkpoint", str(bad), "--data", str(tmp_path),
+                       "--out", str(tmp_path / "ev"), "--quiet"])
+        assert rc == 1
+        assert "trainer.model_config:16: unknown key 'depth'" in capsys.readouterr().err
+
+    def test_eval_malformed_image_header_exit_2(self, workspace, capsys):
+        rc, out = run_train(workspace, "runM")
+        tmp_path, *_, data_dir = workspace
+        img = os.path.join(data_dir, "img_00002.ppm")
+        with open(img, "rb") as fh:
+            body = fh.read().split(b"\n", 1)[1]
+        with open(img, "wb") as fh:
+            fh.write(b"P6\n" + body.replace(b"32", b"3x", 1))
+        rc = cli.main(["eval", "--checkpoint", str(out / "final.ckpt"),
+                       "--data", data_dir, "--out", str(tmp_path / "ev"), "--quiet"])
+        assert rc == 2
+        assert "img_00002.ppm" in capsys.readouterr().err
 
 
 class TestGenData:

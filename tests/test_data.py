@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pronext import data
+from pronext import data, netpbm
 from pronext.errors import DataError, InputError, ParseError
 
 
@@ -155,3 +155,29 @@ class TestDatasetIO:
     def test_images_are_8bit_quantized(self, interaction_ds):
         scaled = interaction_ds.images * 255.0
         np.testing.assert_allclose(scaled, np.round(scaled), atol=1e-4)
+
+
+class TestNetpbmHeaders:
+    @pytest.mark.parametrize("header", [b"P5\nx 4\n255\n", b"P5\n4 4.0\n255\n",
+                                        b"P5\n4 4\nmax\n", b"P5\n-1 -1\n255\n"],
+                             ids=["width", "height", "maxval", "negative"])
+    def test_p5_malformed_header_is_data_error(self, tmp_path, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header + bytes(16))
+        with pytest.raises(DataError, match="bad.pgm"):
+            netpbm.read_pgm_p5(path)
+
+    def test_p6_malformed_header_is_data_error(self, tmp_path):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(b"P6\n2 two\n255\n" + bytes(12))
+        with pytest.raises(DataError, match="bad.ppm"):
+            netpbm.read_ppm_p6(path)
+
+    @pytest.mark.parametrize("text", ["P2\n2 2\n", "P2\n2 b 1\n0 1 1 0\n",
+                                      "P2\n2 2 1\n0 1 x 0\n", "P2\n2 2 1\n0 1 \u00e9 0\n"],
+                             ids=["short_header", "height", "pixel", "non_ascii"])
+    def test_p2_malformed_is_data_error(self, tmp_path, text):
+        path = tmp_path / "bad_p2.pgm"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(DataError, match="bad_p2.pgm"):
+            netpbm.read_pgm_p2(path)

@@ -35,6 +35,27 @@ def small_stage(rng, C=2, k=2, D=8, layers=1, heads=2, dtype=None):
                                 dtype=dtype)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_padded_group_indices_match_per_row_loop(dtype):
+    rng = np.random.default_rng(13)
+    for trial in range(60):
+        B, P = int(rng.integers(1, 6)), (2, 4, 8)[trial % 3]
+        binary = (rng.random((B, P, P)) < rng.random()).astype(dtype)
+        binary[0] = trial % 2                     # a row with no hits or all hits
+        for value in (0.0, 1.0):
+            rows = [np.nonzero(binary[b].reshape(-1) == value)[0] for b in range(B)]
+            T = max(len(r) for r in rows)
+            idx = np.zeros((B, T), dtype=np.int64)     # padding repeats index 0
+            valid = np.zeros((B, T), dtype=dtype)
+            for b, r in enumerate(rows):
+                idx[b, :len(r)] = r
+                valid[b, :len(r)] = 1.0
+            got_idx, got_valid = gaze._padded_group_indices(binary, value)
+            assert got_idx.dtype == np.int64 and got_valid.dtype == dtype
+            np.testing.assert_array_equal(got_idx, idx)
+            np.testing.assert_array_equal(got_valid, valid)
+
+
 class TestSplitByMask:
     def test_counts_all_focal_but_one(self):
         rng = np.random.default_rng(0)

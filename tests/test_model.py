@@ -71,33 +71,68 @@ class TestConfigFile:
     def test_round_trip(self, tmp_path):
         cfg = desk_config(parser_mode="spatial_attention", band_pass=False)
         path = tmp_path / "model.cfg"
-        M.save_model_config(cfg, path)
-        loaded = M.load_model_config(path)
+        M.save_config(cfg, path)
+        loaded = M.load_config(M.ModelConfig, path)
         assert loaded == cfg
 
     def test_unknown_key_is_named(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        M.save_model_config(desk_config(), path)
+        M.save_config(desk_config(), path)
         with open(path, "a") as fh:
             fh.write("learning_rate = 0.1\n")
         with pytest.raises(ConfigError, match="learning_rate"):
-            M.load_model_config(path)
+            M.load_config(M.ModelConfig, path)
 
     def test_missing_key_is_named(self, tmp_path):
         path = tmp_path / "partial.cfg"
-        M.save_model_config(desk_config(), path)
+        M.save_config(desk_config(), path)
         lines = [l for l in path.read_text().splitlines() if not l.startswith("embed_dim")]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match="embed_dim"):
-            M.load_model_config(path)
+            M.load_config(M.ModelConfig, path)
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "dup.cfg"
-        M.save_model_config(desk_config(), path)
+        M.save_config(desk_config(), path)
         with open(path, "a") as fh:
             fh.write("embed_dim = 64\n")
         with pytest.raises(ConfigError, match="duplicate"):
-            M.load_model_config(path)
+            M.load_config(M.ModelConfig, path)
+
+    def test_writer_format(self):
+        text = M.config_text(desk_config(band_pass=False))
+        lines = text.splitlines()
+        assert text.endswith("\n") and len(lines) == 15
+        assert lines[0] == "input_size = 32"
+        assert "band_pass = False" in lines and "ca_ffn = True" in lines
+
+    @pytest.mark.parametrize("word,value", [
+        ("true", True), ("TRUE", True), ("Yes", True), ("1", True),
+        ("false", False), ("False", False), ("NO", False), ("0", False)])
+    def test_bool_spellings(self, word, value):
+        text = M.config_text(desk_config()).replace("band_pass = True",
+                                                    f"band_pass = {word}")
+        assert M.parse_config(M.ModelConfig, text, "cfg").band_pass is value
+
+    def test_comments_and_blank_lines_skipped(self):
+        body = M.config_text(desk_config()).replace("\n", "  # note\n\n")
+        assert M.parse_config(M.ModelConfig, "# header\n" + body, "cfg") == desk_config()
+
+    @pytest.mark.parametrize("line,message", [
+        ("embed_dim = 6.5", "cfg:3: expected int for 'embed_dim'"),
+        ("block_norm = maybe", "cfg:3: expected bool for 'block_norm'"),
+        ("ca_ffn", "cfg:3: expected 'key = value'")])
+    def test_bad_line_names_source_and_line(self, line, message):
+        lines = M.config_text(desk_config()).splitlines()
+        key = line.split()[0]
+        lines = [l for l in lines if not l.startswith(key)]
+        text = "\n".join(lines[:2] + [line] + lines[2:])
+        with pytest.raises(ConfigError, match=message):
+            M.parse_config(M.ModelConfig, text, "cfg")
+
+    def test_unreadable_file_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read"):
+            M.load_config(M.ModelConfig, tmp_path / "absent.cfg")
 
 
 class TestForward:

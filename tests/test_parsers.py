@@ -150,6 +150,54 @@ class TestBandPassFilter:
             np.testing.assert_array_equal(out.freq.data[kept], freqs[kept])
 
 
+def tied_probs(rng, B, P, dtype):
+    """(B, P, P) values on a coarse grid (many ties), with some rows all
+    below and some all above 0.5 so the fallback fires."""
+    levels = int(rng.integers(1, 4))
+    probs = (rng.integers(0, levels + 1, (B, P, P)) / levels).astype(dtype)
+    probs[0] = np.minimum(probs[0], 0.25)
+    probs[-1] = np.maximum(probs[-1], 0.75)
+    return probs
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_band_pass_matches_per_row_loop_on_ties(dtype):
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        B, P = int(rng.integers(1, 6)), (3, 4, 8)[trial % 3]
+        freqs = tied_probs(rng, B, P, dtype) + dtype(0.1)
+        cond = parsers.ConditionMaps(amp=ad.Tensor(np.ones_like(freqs), dtype=dtype),
+                                     freq=ad.Tensor(freqs, dtype=dtype))
+        for stage in parsers.STAGES:
+            n_hi, n_lo = parsers.band_pass_elimination_counts(P, stage)
+            keep = np.ones((B, P * P), dtype=dtype)
+            for b, row in enumerate(freqs.reshape(B, -1)):
+                keep[b, np.argsort(row, kind="stable")[:n_lo]] = 0.0
+                keep[b, np.argsort(-row, kind="stable")[:n_hi]] = 0.0
+            out = parsers.band_pass_filter(cond, stage)
+            expect = freqs * keep.reshape(B, P, P)
+            assert out.freq.data.tobytes() == expect.tobytes()
+            assert out.amp.data.tobytes() == keep.reshape(B, P, P).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_threshold_fallback_matches_per_row_loop_on_ties(dtype):
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        B, P = int(rng.integers(1, 6)), (2, 4, 8)[trial % 3]
+        probs = tied_probs(rng, B, P, dtype)
+        expect = (probs > 0.5).astype(dtype)
+        for b in range(B):
+            flat, out = probs[b].reshape(-1), expect[b].reshape(-1)
+            if out.sum() == 0:
+                out[np.argmax(flat)] = 1.0
+            elif out.sum() == P * P:
+                out[np.argmin(flat)] = 0.0
+        got = parsers._threshold_with_fallback(probs)
+        assert got.shape == probs.shape and got.dtype == probs.dtype
+        assert got.tobytes() == expect.tobytes()
+
+
 class TestStageParams:
     def test_constant_maps_no_elimination(self):
         cond = parsers.ConditionMaps(amp=ad.Tensor(np.full((1, 2, 2), 2.0)),

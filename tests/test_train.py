@@ -2,6 +2,8 @@
 checkpoint/resume determinism."""
 
 import math
+import os
+import struct
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from pronext import checkpoint as ckpt
 from pronext import data
 from pronext import model as M
 from pronext import train as T
-from pronext.errors import ConfigError, InputError, NumericError
+from pronext.errors import ConfigError, DataError, InputError, NumericError
 
 
 def tiny_model(seed=0, **overrides):
@@ -242,6 +244,131 @@ class TestCheckpoint:
             assert t.data.tobytes() == resumed.model.params[name].data.tobytes()
 
 
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "parent_step2.ckpt")
+
+
+def fixture_dataset():
+    return data.gen_interaction_task(24, 4, np.random.default_rng(6), image_size=16)
+
+
+class TestCheckpointCompatibility:
+    """`fixtures/parent_step2.ckpt` was written by the trainer before config
+    snapshots shared the config reader: a spatial-attention model (stem 2,
+    embed 4, band_pass False, seed 8) trained 2 of 4 steps on
+    `fixture_dataset()` with seed 7, batch 4, lr 1e-3, MixUp 0.2."""
+
+    def test_loads(self):
+        model = T.load_model_from_checkpoint(FIXTURE)
+        assert model.cfg == M.ModelConfig(
+            input_size=16, stem_channels=2, patch_size=2, embed_dim=4, ca_layers=1,
+            ca_heads=2, num_classes=4, parser_mode="spatial_attention",
+            band_pass=False).validate()
+        arrays = ckpt.load_arrays(FIXTURE)
+        for name, t in model.params.items():
+            assert t.data.tobytes() == arrays[f"param.{name}"].tobytes()
+
+    def test_resumes_on_the_recorded_trajectory(self):
+        trainer = T.Trainer.resume(FIXTURE, [(fixture_dataset(), 1.0)])
+        assert trainer.step == 2 and trainer.optimizer.t == 2
+        assert trainer.cfg == tiny_train_cfg(seed=7)
+        trainer.run(2)
+        # the rows the writing trainer logged for steps 2 and 3
+        assert [r.csv() for r in trainer.log] == ["2,1.385689,0.250000",
+                                                   "3,1.387000,0.500000"]
+
+
+def _rewrite_record(src, dst, name, edit):
+    arrays = ckpt.load_arrays(src)
+    text = ckpt.unpack_text(arrays[name])
+    arrays[name] = ckpt.pack_text(edit(text))
+    ckpt.save_arrays(dst, arrays)
+
+
+class TestConfigSnapshots:
+    @pytest.mark.parametrize("edit,message", [
+        (lambda t: t + "dropout = 0.1\n", "trainer.model_config:16: unknown key 'dropout'"),
+        (lambda t: t + "embed_dim = 4\n", "trainer.model_config:16: duplicate key 'embed_dim'"),
+        (lambda t: t.replace("embed_dim = 4", "embed_dim = four"),
+         "trainer.model_config:6: expected int for 'embed_dim'"),
+        (lambda t: t.replace("ca_ffn = True", "ca_ffn True"),
+         "trainer.model_config:13: expected 'key = value'")],
+        ids=["unknown_key", "duplicate_key", "bad_int", "no_equals"])
+    def test_malformed_model_snapshot_names_record_and_line(self, tmp_path, edit, message):
+        path = tmp_path / "bad.ckpt"
+        _rewrite_record(FIXTURE, path, "trainer.model_config", edit)
+        with pytest.raises(ConfigError, match=message):
+            T.load_model_from_checkpoint(path)
+
+    def test_bool_words_read_as_written(self, tmp_path):
+        path = tmp_path / "yes.ckpt"
+        _rewrite_record(FIXTURE, path, "trainer.model_config",
+                        lambda t: t.replace("band_pass = False", "band_pass = yes"))
+        assert T.load_model_from_checkpoint(path).cfg.band_pass is True
+
+    def test_fractional_int_in_train_snapshot_rejected(self, tmp_path):
+        path = tmp_path / "steps.ckpt"
+        _rewrite_record(FIXTURE, path, "trainer.train_config",
+                        lambda t: t.replace("steps = 4", "steps = 1.5"))
+        with pytest.raises(ConfigError, match="trainer.train_config:2: expected int"):
+            T.Trainer.resume(path, [(fixture_dataset(), 1.0)])
+
+    @pytest.mark.parametrize("name", ["trainer.model_config", "trainer.train_config",
+                                      "trainer.step", "trainer.rng", "opt.t"])
+    def test_missing_record_is_data_error(self, tmp_path, name):
+        arrays = ckpt.load_arrays(FIXTURE)
+        del arrays[name]
+        path = tmp_path / "partial.ckpt"
+        ckpt.save_arrays(path, arrays)
+        with pytest.raises(DataError, match=name):
+            T.Trainer.resume(path, [(fixture_dataset(), 1.0)])
+
+
+class TestLoadArraysRobustness:
+    @pytest.fixture()
+    def small(self, tmp_path):
+        path = tmp_path / "small.ckpt"
+        ckpt.save_arrays(path, {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                                "s": np.array(7, dtype=np.int64),
+                                "text": ckpt.pack_text("a = 1\n")})
+        return path
+
+    def _load_or_data_error(self, path):
+        try:
+            ckpt.load_arrays(path)
+        except DataError:
+            pass
+
+    def test_every_truncation(self, small, tmp_path):
+        blob = small.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(DataError):
+                ckpt.load_arrays(cut)
+
+    def test_header_bit_flips(self, small, tmp_path):
+        blob = small.read_bytes()
+        header_len = len(blob) - (6 * 4 + 8 + 6)        # everything before the data
+        flipped = tmp_path / "flip.ckpt"
+        for byte in range(header_len):
+            for bit in range(8):
+                bad = bytearray(blob)
+                bad[byte] ^= 1 << bit
+                flipped.write_bytes(bytes(bad))
+                self._load_or_data_error(flipped)
+
+    def test_non_utf8_record_name(self, tmp_path):
+        path = tmp_path / "name.ckpt"
+        path.write_bytes(ckpt.MAGIC + struct.pack("<IIH", ckpt.VERSION, 1, 1) + b"\xff"
+                         + struct.pack("<BBQ", 4, 0, 0) + b"\x00")
+        with pytest.raises(DataError, match="UTF-8"):
+            ckpt.load_arrays(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DataError, match="cannot open"):
+            ckpt.load_arrays(tmp_path / "absent.ckpt")
+
+
 class TestEvaluate:
     def test_accuracy_bounds_and_loss(self):
         model = tiny_model()
@@ -255,16 +382,24 @@ class TestTrainConfigFile:
     def test_round_trip(self, tmp_path):
         cfg = tiny_train_cfg(lr=5e-4, steps=123)
         path = tmp_path / "train.cfg"
-        T.save_train_config(cfg, path)
-        assert T.load_train_config(path) == cfg
+        M.save_config(cfg, path)
+        assert M.load_config(T.TrainConfig, path) == cfg
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "t.cfg"
-        T.save_train_config(tiny_train_cfg(), path)
+        M.save_config(tiny_train_cfg(), path)
         with open(path, "a") as fh:
             fh.write("momentum = 0.9\n")
         with pytest.raises(ConfigError, match="momentum"):
-            T.load_train_config(path)
+            M.load_config(T.TrainConfig, path)
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "dup.cfg"
+        M.save_config(tiny_train_cfg(), path)
+        with open(path, "a") as fh:
+            fh.write("lr = 0.1\n")
+        with pytest.raises(ConfigError, match=f"{path}:12: duplicate key 'lr'"):
+            M.load_config(T.TrainConfig, path)
 
     def test_invariants(self):
         with pytest.raises(ConfigError):
