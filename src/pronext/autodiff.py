@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ConfigError, DimensionError, GraphError, InputError, NumericError
 
@@ -235,15 +236,16 @@ def _sum_to(g, shape):
     return g
 
 
-def _scatter_add_rows(target_rows, ncols, row_idx, contrib):
-    """target[row_idx[i], :] += contrib[i, :] with duplicate rows, fast path.
-
-    Uses a single weighted bincount over combined (row, col) indices, which
-    is far faster than np.add.at for the sizes seen in training.
-    """
-    flat_idx = (row_idx[:, None] * ncols + np.arange(ncols)[None, :]).reshape(-1)
-    acc = np.bincount(flat_idx, weights=contrib.reshape(-1), minlength=target_rows * ncols)
-    return acc.reshape(target_rows, ncols)
+def _row_matrix(weights, cols, n_cols):
+    """CSR matrix with k = weights.shape[-1] entries per row: row i holds the
+    i-th k weights at the i-th k columns. `S @ F` mixes rows of F; `S.T @ g`
+    scatter-adds g back onto them, accumulating in the weights' dtype."""
+    k = weights.shape[-1]
+    n = weights.size
+    idx_dtype = np.int32 if max(n, n_cols) < 2 ** 31 else np.int64
+    indptr = np.arange(0, n + 1, k, dtype=idx_dtype)
+    return sparse.csr_array((weights.reshape(-1), cols.reshape(-1).astype(idx_dtype, copy=False),
+                             indptr), shape=(n // k, n_cols))
 
 
 # ---------------------------------------------------------------------------
@@ -469,17 +471,18 @@ def embed_rows(a, idx, n_rows):
 def gather_tokens(a, idx):
     """Batched row gather: a (B, N, D), idx (B, T) -> (B, T, D).
 
-    Backward scatter-adds; duplicate indices (e.g. padding) accumulate, which
-    is safe because padded rows only ever receive zero gradient.
+    Backward scatter-adds through the transposed selection matrix; duplicate
+    indices (e.g. padding) accumulate, which is safe because padded rows only
+    ever receive zero gradient.
     """
     idx = np.asarray(idx, dtype=np.int64)
     B, N, D = a.shape
     data = np.take_along_axis(a.data, idx[:, :, None], axis=1)
 
     def backward(g):
-        rows = (idx + np.arange(B)[:, None] * N).reshape(-1)
-        ga = _scatter_add_rows(B * N, D, rows, g.reshape(-1, D)).astype(a.dtype)
-        _accum(a, ga.reshape(B, N, D))
+        rows = idx + np.arange(B)[:, None] * N
+        S = _row_matrix(np.ones(rows.shape + (1,), dtype=g.dtype), rows, B * N)
+        _accum(a, (S.T @ g.reshape(-1, D)).reshape(B, N, D))
 
     return _make(data, (a,), backward, "gather_tokens")
 
@@ -560,7 +563,12 @@ def matmul(a, b):
         if a.requires_grad:
             _accum(a, _sum_to(g @ np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad:
-            _accum(b, _sum_to(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+            if b.ndim == 2:
+                # a shared weight: one GEMM over every leading axis of a
+                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _sum_to(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+            _accum(b, gb)
 
     return _make(data, (a, b), backward, "matmul")
 
@@ -879,6 +887,10 @@ def bilinear_sample(feature, coords):
     feature: (B, H, W, C) or (H, W, C); coords: (B, N, 2) or (N, 2) holding
     (row, col) positions in continuous pixel space. Differentiable w.r.t.
     both the feature map and the coordinates.
+
+    Runs as one sparse interpolation matrix S of shape (B*N, B*H*W) with
+    four weights per row: the output is S @ F over the flattened feature
+    rows and the feature gradient is S.T @ g.
     """
     fb, fsq = _as_batched(feature)
     csq = coords.ndim == 2
@@ -894,35 +906,32 @@ def bilinear_sample(feature, coords):
     c0 = np.floor(c).astype(np.int64)
     fr = (r - r0).astype(fb.dtype)
     fc = (c - c0).astype(fb.dtype)
+    ur = 1 - fr
+    uc = 1 - fc
 
-    # all four corners in one gather: order (00, 01, 10, 11)
-    ri = np.stack([r0, r0, r0 + 1, r0 + 1], axis=1)          # (B, 4, N)
-    ci = np.stack([c0, c0 + 1, c0, c0 + 1], axis=1)
+    # one row per sample holding its four corners, order (00, 01, 10, 11);
+    # an out-of-bounds corner gets weight 0 at a clipped column
+    ri = np.stack([r0, r0, r0 + 1, r0 + 1], axis=2)          # (B, N, 4)
+    ci = np.stack([c0, c0 + 1, c0, c0 + 1], axis=2)
     inb = (ri >= 0) & (ri < H) & (ci >= 0) & (ci < W)
-    safe = np.clip(ri, 0, H - 1) * W + np.clip(ci, 0, W - 1)
-    flat = fb.data.reshape(B, H * W, C)
-    vals = np.take_along_axis(flat, safe.reshape(B, 4 * N)[:, :, None], axis=1)
-    vals = vals.reshape(B, 4, N, C) * inb[:, :, :, None]
-    v00, v01, v10, v11 = vals[:, 0], vals[:, 1], vals[:, 2], vals[:, 3]
-
-    wts = np.stack([(1 - fr) * (1 - fc), (1 - fr) * fc,
-                    fr * (1 - fc), fr * fc], axis=1)[:, :, :, None]  # (B, 4, N, 1)
-    data = (vals * wts).sum(axis=1)
+    cols = ((np.arange(B)[:, None, None] * H + np.clip(ri, 0, H - 1)) * W
+            + np.clip(ci, 0, W - 1))
+    wts = np.stack([ur * uc, ur * fc, fr * uc, fr * fc], axis=2) * inb
+    S = _row_matrix(wts, cols, B * H * W)
+    flat = fb.data.reshape(B * H * W, C)
+    data = (S @ flat).reshape(B, N, C)
 
     def backward(g):
+        g2 = g.reshape(B * N, C)
         if fb.requires_grad:
-            base = (np.arange(B)[:, None, None] * (H * W))
-            rows = (base + safe).reshape(-1)
-            contrib = (g[:, None] * wts * inb[:, :, :, None]).reshape(-1, C)
-            gf = _scatter_add_rows(B * H * W, C, rows, contrib).astype(fb.dtype)
-            _accum(fb, gf.reshape(B, H, W, C))
+            _accum(fb, (S.T @ g2).reshape(B, H, W, C))
         if cb.requires_grad:
-            one = np.array(1.0, dtype=fb.dtype)
-            fcn = fc[:, :, None]
-            frn = fr[:, :, None]
-            gr = (g * (-(one - fcn) * v00 - fcn * v01 + (one - fcn) * v10 + fcn * v11)).sum(axis=2)
-            gc = (g * (-(one - frn) * v00 + (one - frn) * v01 - frn * v10 + frn * v11)).sum(axis=2)
-            _accum(cb, np.stack([gr, gc], axis=2).astype(cb.dtype))
+            # the weights' r and c derivatives on S's pattern
+            S_r = _row_matrix(np.stack([-uc, -fc, uc, fc], axis=2) * inb, S.indices, B * H * W)
+            S_c = _row_matrix(np.stack([-ur, ur, -fr, fr], axis=2) * inb, S.indices, B * H * W)
+            gr = (g2 * (S_r @ flat)).sum(axis=1)
+            gc = (g2 * (S_c @ flat)).sum(axis=1)
+            _accum(cb, np.stack([gr, gc], axis=1).reshape(B, N, 2).astype(cb.dtype))
 
     res = _make(data, (fb, cb), backward, "bilinear_sample")
     return reshape(res, res.shape[1:]) if fsq and csq else res

@@ -122,7 +122,9 @@ def pack_rng_state(gen):
 
 
 def unpack_rng_state(arr):
-    vals = [int(v) for v in arr]
+    if arr.size != 6:
+        raise DataError(f"checkpoint rng state holds {arr.size} values, expected 6")
+    vals = [int(v) for v in arr.reshape(-1)]
     gen = np.random.Generator(np.random.PCG64())
     gen.bit_generator.state = {
         "bit_generator": "PCG64",

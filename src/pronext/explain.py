@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from . import autodiff as ad
 from .errors import InputError
@@ -77,11 +76,7 @@ def map_to_bbox(score_map, tau):
     hot = score_map > tau
     if not hot.any():
         return (0, 0, W, H)
-    labels, count = ndimage.label(hot, structure=FOUR_CONNECTED)
-    sizes = np.bincount(labels.reshape(-1))
-    sizes[0] = 0
-    best = int(np.argmax(sizes))       # ties: lowest label = first in scan order
-    ys, xs = np.nonzero(labels == best)
+    ys, xs = np.nonzero(_largest_component(hot))
     return (int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1)
 
 
@@ -197,8 +192,11 @@ def segment_structures(model, images, tau=0.5):
 
 
 def _largest_component(hot):
+    """The largest 4-connected component of a boolean map; ties go to the
+    lowest label, which is the first in scan order."""
     if not hot.any():
         return hot
+    from scipy import ndimage      # only mask extraction needs it
     labels, _ = ndimage.label(hot, structure=FOUR_CONNECTED)
     sizes = np.bincount(labels.reshape(-1))
     sizes[0] = 0

@@ -166,12 +166,12 @@ class AdamW:
         return out
 
     def load_state_arrays(self, arrays):
-        self.t = int(_record(arrays, "opt.t")[0])
+        self.t = _int_record(arrays, "opt.t")
         for name in self.m:
             key = f"opt.m.{name}"
             if key in arrays:
                 self.m[name] = arrays[key].copy()
-                self.v[name] = arrays[f"opt.v.{name}"].copy()
+                self.v[name] = _record(arrays, f"opt.v.{name}").copy()
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +274,7 @@ class Trainer:
         cfg = _config_record(arrays, "trainer.train_config", TrainConfig)
         trainer = cls(model, cfg, datasets)
         trainer.optimizer.load_state_arrays(arrays)
-        trainer.step = int(_record(arrays, "trainer.step")[0])
+        trainer.step = _int_record(arrays, "trainer.step")
         trainer.rng = ckpt.unpack_rng_state(_record(arrays, "trainer.rng"))
         return trainer
 
@@ -284,6 +284,14 @@ def _record(arrays, name):
     if name not in arrays:
         raise DataError(f"checkpoint has no '{name}' record")
     return arrays[name]
+
+
+def _int_record(arrays, name):
+    """A counter record: exactly one value."""
+    arr = _record(arrays, name)
+    if arr.size != 1:
+        raise DataError(f"checkpoint record '{name}' holds {arr.size} values, expected 1")
+    return int(arr.reshape(-1)[0])
 
 
 def _config_record(arrays, name, cls):

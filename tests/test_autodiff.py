@@ -54,6 +54,36 @@ def bilinear_oracle(f, r, c):
             + fr * (1 - fc) * at(r0 + 1, c0) + fr * fc * at(r0 + 1, c0 + 1))
 
 
+def bilinear_gather_oracle(f, coords, g):
+    """Batched bilinear sampling as four corner gathers: the output and, for
+    upstream gradient g, the feature gradient (scattered in float64) and the
+    coordinate gradient. f (B, H, W, C), coords (B, N, 2), g (B, N, C)."""
+    B, H, W, C = f.shape
+    N = coords.shape[1]
+    r, c = coords[:, :, 0], coords[:, :, 1]
+    r0 = np.floor(r).astype(np.int64)
+    c0 = np.floor(c).astype(np.int64)
+    fr = (r - r0).astype(f.dtype)
+    fc = (c - c0).astype(f.dtype)
+    ri = np.stack([r0, r0, r0 + 1, r0 + 1], axis=1)          # (B, 4, N)
+    ci = np.stack([c0, c0 + 1, c0, c0 + 1], axis=1)
+    inb = (ri >= 0) & (ri < H) & (ci >= 0) & (ci < W)
+    safe = np.clip(ri, 0, H - 1) * W + np.clip(ci, 0, W - 1)
+    vals = np.take_along_axis(f.reshape(B, H * W, C), safe.reshape(B, 4 * N)[:, :, None], axis=1)
+    vals = vals.reshape(B, 4, N, C) * inb[:, :, :, None]
+    wts = np.stack([(1 - fr) * (1 - fc), (1 - fr) * fc,
+                    fr * (1 - fc), fr * fc], axis=1)[:, :, :, None]
+    out = (vals * wts).sum(axis=1)
+
+    gf = np.zeros((B, H * W, C))
+    np.add.at(gf, (np.arange(B)[:, None, None], safe), g[:, None] * wts * inb[:, :, :, None])
+    v00, v01, v10, v11 = vals[:, 0], vals[:, 1], vals[:, 2], vals[:, 3]
+    fcn, frn = fc[:, :, None], fr[:, :, None]
+    gr = (g * (-(1 - fcn) * v00 - fcn * v01 + (1 - fcn) * v10 + fcn * v11)).sum(axis=2)
+    gc = (g * (-(1 - frn) * v00 + (1 - frn) * v01 - frn * v10 + frn * v11)).sum(axis=2)
+    return out, gf.reshape(B, H, W, C), np.stack([gr, gc], axis=2)
+
+
 def softmax_oracle(z):
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
@@ -298,6 +328,30 @@ class TestBilinearSample:
         assert rep.passed, str(rep)
 
 
+    def test_batched_float32_matches_gather_oracle(self):
+        # out-of-bounds and integer corners, and 30 samples on one pixel so the
+        # feature gradient accumulates many rows into one
+        rng = np.random.default_rng(26)
+        B, H, W, C, N = 3, 6, 7, 4, 120
+        f = rng.standard_normal((B, H, W, C)).astype(np.float32)
+        coords = np.stack([rng.uniform(-1.5, H + 0.5, (B, N)),
+                           rng.uniform(-1.5, W + 0.5, (B, N))], axis=2)
+        coords[:, :20] = np.round(coords[:, :20])
+        coords[:, 20:50] = (2.25, 3.5)
+        coords = coords.astype(np.float32)
+        g = rng.standard_normal((B, N, C)).astype(np.float32)
+        ft = ad.Tensor(f, requires_grad=True)
+        ct = ad.Tensor(coords, requires_grad=True)
+        out = ad.bilinear_sample(ft, ct)
+        out.backward(g)
+        want, want_gf, want_gc = bilinear_gather_oracle(f, coords, g)
+        assert out.data.dtype == np.float32
+        assert out.data.tobytes() == want.tobytes()
+        for got, ref in ((ft.grad, want_gf), (ct.grad, want_gc)):
+            assert got.dtype == np.float32
+            assert np.abs(got - ref).max() <= 1e-6 * np.abs(ref).max()
+
+
 # ---------------------------------------------------------------------------
 # deformable convolution
 # ---------------------------------------------------------------------------
@@ -525,6 +579,25 @@ class TestGradCheck:
             b = ad.Tensor(rng.standard_normal(4), requires_grad=True)
             rep = grad_check(lambda ts: ad.linear(ts[0], ts[1], ts[2]), [x, w, b],
                              tol=1e-6, rng=rng)
+        assert rep.passed, str(rep)
+
+    def test_linear_batched_input_shared_weight(self):
+        # a 3-D input against a 2-D weight: the weight gradient sums every row
+        rng = np.random.default_rng(27)
+        with ad.precision("float64"):
+            x = ad.Tensor(rng.standard_normal((3, 5, 4)), requires_grad=True)
+            w = ad.Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+            b = ad.Tensor(rng.standard_normal(6), requires_grad=True)
+            rep = grad_check(lambda ts: ad.linear(ts[0], ts[1], ts[2]), [x, w, b],
+                             tol=1e-6, rng=rng)
+        assert rep.passed, str(rep)
+
+    def test_matmul_4d(self):
+        rng = np.random.default_rng(28)
+        with ad.precision("float64"):
+            a = ad.Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
+            b = ad.Tensor(rng.standard_normal((2, 3, 5, 2)), requires_grad=True)
+            rep = grad_check(lambda ts: ad.matmul(ts[0], ts[1]), [a, b], tol=1e-6, rng=rng)
         assert rep.passed, str(rep)
 
     def test_requires_float64(self):

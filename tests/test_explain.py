@@ -1,5 +1,9 @@
 """Localization/segmentation metric oracles and mask-to-image extraction."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -292,3 +296,15 @@ class TestExports:
         lines = path.read_text().splitlines()
         assert lines[0] == "img_0,1,2,3,4,0.500000"
         assert lines[1] == "img_1,0,0,8,8,1.000000"
+
+
+def test_cli_import_leaves_ndimage_unloaded():
+    # only mask extraction labels components; train, eval and ablate never do
+    import pronext
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pronext.__file__)))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = "import sys, pronext.cli; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

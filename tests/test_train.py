@@ -322,6 +322,19 @@ class TestConfigSnapshots:
         with pytest.raises(DataError, match=name):
             T.Trainer.resume(path, [(fixture_dataset(), 1.0)])
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda a: a.update({"trainer.rng": a["trainer.rng"][:3]}), "rng state holds 3"),
+        (lambda a: a.update({"trainer.step": a["trainer.step"][:0]}), "'trainer.step' holds 0"),
+        (lambda a: a.pop("opt.v.stem.block0.w"), "no 'opt.v.stem.block0.w'")],
+        ids=["short_rng", "empty_step", "m_without_v"])
+    def test_malformed_trainer_record_is_data_error(self, tmp_path, edit, message):
+        arrays = ckpt.load_arrays(FIXTURE)
+        edit(arrays)
+        path = tmp_path / "malformed.ckpt"
+        ckpt.save_arrays(path, arrays)
+        with pytest.raises(DataError, match=message):
+            T.Trainer.resume(path, [(fixture_dataset(), 1.0)])
+
 
 class TestLoadArraysRobustness:
     @pytest.fixture()
