@@ -1,15 +1,17 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-A Tensor wraps one ndarray; ops below build an implicit graph of backward
-closures. The kernel set is exactly what the recognition model needs:
-convolution, pooling, bilinear sampling (for deformable convolution),
-scaled dot-product cross attention, normalization, and the usual pointwise
-glue. Training runs in float32; gradient checking switches the default
-dtype to float64 via the `precision` context manager.
+A Tensor wraps one ndarray; the functions below are the only way to build
+on it (there are no operator overloads) and each records an implicit graph
+of backward closures. The kernel set is exactly what the recognition model
+needs: convolution, pooling, bilinear sampling (for deformable
+convolution), scaled dot-product cross attention, normalization, and the
+pointwise glue the model uses. Training runs in float32; gradient checking
+switches the default dtype to float64 via the `precision` context manager.
 
 All image-like tensors are channels-last. Spatial kernels accept either a
 single sample (H, W, C) or a batch (B, H, W, C); single samples are promoted
-to a batch of one internally and squeezed on the way out.
+to a batch of one internally and squeezed on the way out. Attention takes
+(N, D) or (B, N, D) tokens the same way.
 """
 
 from __future__ import annotations
@@ -141,45 +143,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # operator sugar ---------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return mul_const(self, -1.0)
-
-    def __pow__(self, p):
-        return pow_const(self, p)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis, keepdims)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -307,25 +270,6 @@ def mul_const(a, c):
     return _make(data, (a,), backward, "mul_const")
 
 
-def pow_const(a, p):
-    p = float(p)
-    data = a.data ** p
-
-    def backward(g):
-        _accum(a, g * p * a.data ** (p - 1.0))
-
-    return _make(data, (a,), backward, "pow_const")
-
-
-def exp(a):
-    data = np.exp(a.data)
-
-    def backward(g):
-        _accum(a, g * data)
-
-    return _make(data, (a,), backward, "exp")
-
-
 def sin(a):
     data = np.sin(a.data)
 
@@ -333,15 +277,6 @@ def sin(a):
         _accum(a, g * np.cos(a.data))
 
     return _make(data, (a,), backward, "sin")
-
-
-def tanh(a):
-    data = np.tanh(a.data)
-
-    def backward(g):
-        _accum(a, g * (1.0 - data * data))
-
-    return _make(data, (a,), backward, "tanh")
 
 
 def _sigmoid_np(x):
@@ -439,33 +374,6 @@ def slice_channel(a, idx):
         _accum(a, ga)
 
     return _make(data, (a,), backward, "slice_channel")
-
-
-def take_rows(a, idx):
-    """Gather rows of a 2-D tensor: out[i] = a[idx[i]]."""
-    idx = np.asarray(idx, dtype=np.int64)
-    data = a.data[idx]
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        _accum(a, ga)
-
-    return _make(data, (a,), backward, "take_rows")
-
-
-def embed_rows(a, idx, n_rows):
-    """Scatter rows of a 2-D tensor into a fresh zero matrix of n_rows rows."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if len(np.unique(idx)) != len(idx):
-        raise InputError("embed_rows: duplicate destination rows")
-    data = np.zeros((n_rows,) + a.shape[1:], dtype=a.data.dtype)
-    data[idx] = a.data
-
-    def backward(g):
-        _accum(a, g[idx])
-
-    return _make(data, (a,), backward, "embed_rows")
 
 
 def gather_tokens(a, idx):
@@ -628,18 +536,6 @@ def block_norm(x, gamma, beta, eps=1e-5):
         _accum(x, inv / M * (M * gy - gsum - xhat * gxhat))
 
     return _make(data, (x, gamma, beta), backward, "block_norm")
-
-
-def softmax(x, axis=-1):
-    z = x.data
-    ez = np.exp(z - z.max(axis=axis, keepdims=True))
-    data = ez / ez.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        _accum(x, data * (g - dot))
-
-    return _make(data, (x,), backward, "softmax")
 
 
 def softmax_weighted(x, weights):
@@ -1011,7 +907,8 @@ def multi_head_cross_attention(query, keyval, heads, params, key_weights=None):
     query: (Nq, D) or (B, Nq, D); keyval: matching rank with Nk rows. Scale is
     1/sqrt(D/heads); no class token. `key_weights` (B, Nk) or (Nk,) weights
     the keys inside the softmax: binary weights exclude keys exactly, smooth
-    weights keep the parser differentiable in soft-mask mode.
+    weights keep the parser differentiable in soft-mask mode. None weights
+    every key 1.
     """
     D = query.shape[-1]
     if D % heads:
@@ -1029,7 +926,7 @@ def multi_head_cross_attention(query, keyval, heads, params, key_weights=None):
 
     logits = mul_const(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
     if key_weights is None:
-        attn = softmax(logits, axis=-1)
+        attn = softmax_weighted(logits, np.ones(Nk, dtype=logits.dtype))
     else:
         kw_t = key_weights if isinstance(key_weights, Tensor) else Tensor(key_weights, dtype=logits.dtype)
         kw_b = reshape(kw_t, (1, 1, 1, Nk)) if kw_t.ndim == 1 else reshape(kw_t, (B, 1, 1, Nk))

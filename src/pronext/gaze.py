@@ -10,14 +10,9 @@ over the token grid), and run through cross-attention blocks with focal
 queries and context keys/values; the mean over focal tokens is the stage's
 Context Impression.
 
-Two code paths compute the same thing:
-  * the unbatched operations below (`split_by_mask`, `context_impression`,
-    ...) follow the per-sample token-list formulation and serve as the
-    reference;
-  * `gaze_shift` runs whole batches by keeping all P^2 tokens and expressing
-    the split through attention key weights and a weighted token mean, which
-    is algebraically identical and vectorizes. In soft-mask mode the binary
-    weights become the raw probabilities, keeping everything differentiable.
+Everything here runs on whole batches (`context_impression_batched` says
+how the split is expressed on them). The per-sample token-list formulation
+of the same stage is the oracle in tests/test_gaze.py.
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DimensionError, InputError
+from .errors import ConfigError, DimensionError
 from .parsers import (PatchMask, plain_field_parse, shift_parse,
                       spatial_attention_parse)
 
@@ -74,59 +69,8 @@ class GazeStageParams:
 
 
 # ---------------------------------------------------------------------------
-# unbatched reference operations
+# stage
 # ---------------------------------------------------------------------------
-
-
-def _tokens_from_map(f, k):
-    """(H, W, C) -> (P*P, k*k*C) flattened patches, row-major grid order."""
-    H, W, C = f.shape
-    P, Q = H // k, W // k
-    t = ad.reshape(f, (P, k, Q, k, C))
-    t = ad.transpose(t, (0, 2, 1, 3, 4))
-    return ad.reshape(t, (P * Q, k * k * C))
-
-
-def _map_from_tokens(tokens, H, W, k):
-    C = tokens.shape[1] // (k * k)
-    P, Q = H // k, W // k
-    t = ad.reshape(tokens, (P, Q, k, k, C))
-    t = ad.transpose(t, (0, 2, 1, 3, 4))
-    return ad.reshape(t, (H, W, C))
-
-
-def split_by_mask(f, m, k):
-    """Partition one feature map into focal and context token lists.
-
-    f: (H, W, C); m: PatchMask (first sample used). Returns
-    (focal_tokens, context_tokens, (focal_positions, context_positions));
-    positions are (row, col) patch coordinates, row-major within each group.
-    """
-    if f.ndim != 3:
-        raise DimensionError("split_by_mask expects a single (H, W, C) sample")
-    H, W, C = f.shape
-    P = H // k
-    if m.grid_side != P:
-        raise DimensionError(f"mask grid {m.grid_side} does not match H/k = {P}")
-    binary = m.binary[0]
-    tokens = _tokens_from_map(f, k)
-    flat = binary.reshape(-1)
-    focal_idx = np.nonzero(flat == 1)[0]
-    context_idx = np.nonzero(flat == 0)[0]
-    positions = (np.stack(np.divmod(focal_idx, P), axis=1),
-                 np.stack(np.divmod(context_idx, P), axis=1))
-    return ad.take_rows(tokens, focal_idx), ad.take_rows(tokens, context_idx), positions
-
-
-def focal_reassemble(focal_tokens, positions, H, W, k):
-    """Write focal patches back in place; context positions stay zero."""
-    P = H // k
-    pos = np.asarray(positions)
-    if pos.size and (pos.min() < 0 or pos.max() >= P):
-        raise InputError("focal_reassemble: position outside the patch grid")
-    flat_idx = pos[:, 0] * P + pos[:, 1]
-    grid = ad.embed_rows(focal_tokens, flat_idx, P * P)  # raises on duplicates
-    return _map_from_tokens(grid, H, W, k)
 
 
 def focal_abstract(masked_map, params):
@@ -140,25 +84,6 @@ def focal_abstract(masked_map, params):
                                 params.offset_w, params.offset_b)
 
 
-def conditional_position_encoding(focal_tokens, context_tokens, positions, params):
-    """Scatter all tokens onto the patch grid, convolve, gather back per group.
-
-    positions is the (focal_positions, context_positions) pair from
-    split_by_mask. Token width must match the depthwise kernel channels.
-    """
-    pos_f, pos_c = positions
-    P = int(max(pos_f.max(initial=-1), pos_c.max(initial=-1))) + 1
-    idx_f = pos_f[:, 0] * P + pos_f[:, 1]
-    idx_c = pos_c[:, 0] * P + pos_c[:, 1]
-    all_idx = np.concatenate([idx_f, idx_c])
-    D = focal_tokens.shape[-1]
-    grid = ad.embed_rows(ad.concat([focal_tokens, context_tokens], axis=0), all_idx, P * P)
-    grid = ad.reshape(grid, (P, P, D))
-    enc = ad.depthwise_conv2d(grid, params.pe_w, params.pe_b)
-    enc = ad.reshape(enc, (P * P, D))
-    return ad.take_rows(enc, idx_f), ad.take_rows(enc, idx_c)
-
-
 def _ca_block(h, kv, layer, heads, ffn_enabled, key_weights=None):
     """Pre-normalized cross-attention + feed-forward, both residual."""
     q_n = ad.layer_norm(h, layer.ln_q_g, layer.ln_q_b)
@@ -170,31 +95,6 @@ def _ca_block(h, kv, layer, heads, ffn_enabled, key_weights=None):
         mid = ad.gelu(ad.linear(f_n, layer.ffn_w1, layer.ffn_b1))
         h = ad.add(h, ad.linear(mid, layer.ffn_w2, layer.ffn_b2))
     return h
-
-
-def context_impression(focal_tokens, context_tokens, positions, params):
-    """Reference (single sample) Context Impression.
-
-    Projects both groups to the common width, adds conditional position
-    encodings, runs the cross-attention stack (focal queries, context
-    keys/values), and mean-pools the focal tokens.
-    """
-    if focal_tokens.shape[0] == 0 or context_tokens.shape[0] == 0:
-        raise InputError("context_impression needs both groups nonempty")
-    q = ad.linear(focal_tokens, params.token_w, params.token_b)
-    kv = ad.linear(context_tokens, params.token_w, params.token_b)
-    pe_f, pe_c = conditional_position_encoding(q, kv, positions, params)
-    h = ad.add(q, pe_f)
-    kv = ad.add(kv, pe_c)
-    for layer in params.ca_layers:
-        h = _ca_block(h, kv, layer, params.heads, params.ffn_enabled)
-    h = ad.layer_norm(h, params.out_ln_g, params.out_ln_b)
-    return ad.reduce_mean(h, axis=0)
-
-
-# ---------------------------------------------------------------------------
-# batched stage
-# ---------------------------------------------------------------------------
 
 
 def run_parser(f, k, parser_mode, parser_params, mode="hard", band_pass=True):
@@ -235,8 +135,8 @@ def context_impression_batched(f, k, mask, params):
 
     All P^2 tokens are projected and position-encoded on the grid. In hard
     mode the focal/context groups are then gathered into packed (padded)
-    token blocks, matching the reference split semantics: group membership is
-    an index selection, so no gradient flows from the embedding into the
+    token blocks, matching the per-sample token-list split: group membership
+    is an index selection, so no gradient flows from the embedding into the
     parser. In soft mode membership stays a smooth weighting (probabilities
     as query-mean weights and complementary attention key weights), which is
     the differentiable surrogate used by gradient checks.

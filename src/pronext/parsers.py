@@ -177,8 +177,8 @@ def stage_params(cond):
     """Pool the filtered maps to one (a, w) pair per sample; eliminated zeros
     stay in the mean. Returns tensors shaped (B, 1, 1, 1) for broadcasting."""
     B = cond.amp.shape[0]
-    a = ad.reshape(cond.amp.mean(axis=(1, 2)), (B, 1, 1, 1))
-    w = ad.reshape(cond.freq.mean(axis=(1, 2)), (B, 1, 1, 1))
+    a = ad.reshape(ad.reduce_mean(cond.amp, axis=(1, 2)), (B, 1, 1, 1))
+    w = ad.reshape(ad.reduce_mean(cond.freq, axis=(1, 2)), (B, 1, 1, 1))
     return a, w
 
 

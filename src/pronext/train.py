@@ -246,12 +246,12 @@ class Trainer:
     def run(self, steps=None, quiet=True, log_fh=None):
         steps = self.cfg.steps if steps is None else steps
         start = time.time()
-        for _ in range(steps):
+        for i in range(steps):
             row = self.train_step()
             if log_fh is not None:
                 log_fh.write(row.csv() + "\n")
-            if not quiet and (row.step % 50 == 0 or row.step == steps - 1):
-                rate = (row.step + 1 - (self.step - len(self.log))) / max(time.time() - start, 1e-9)
+            if not quiet and (row.step % 50 == 0 or i == steps - 1):
+                rate = (i + 1) / max(time.time() - start, 1e-9)
                 print(f"step {row.step}: loss {row.loss:.4f} acc {row.acc:.3f} "
                       f"({rate:.1f} steps/s)")
         return self.log

@@ -1,5 +1,10 @@
 """Tests for the focal/context stage: splitting, reassembly, abstraction,
-position encoding, context impression, and the batched stage equivalence."""
+position encoding, context impression, and the batched stage equivalence.
+
+The unbatched reference formulation of the stage (per-sample focal and
+context token lists) lives here as the oracle for the batched package code.
+Nothing backpropagates through it, so its gathers and scatters are plain
+numpy indexing on `.data`."""
 
 import numpy as np
 import pytest
@@ -22,8 +27,10 @@ def softmax_np(z):
 
 
 def manual_mask(binary):
-    """PatchMask with a fixed binary map (batch of 1)."""
-    binary = np.asarray(binary, dtype=ad.default_dtype())[None]
+    """PatchMask with a fixed binary map: (P, P) is a batch of 1, or (B, P, P)."""
+    binary = np.asarray(binary, dtype=ad.default_dtype())
+    if binary.ndim == 2:
+        binary = binary[None]
     probs = np.where(binary == 1, 0.9, 0.1).astype(binary.dtype)
     pt = ad.Tensor(probs)
     return parsers.PatchMask(probs=probs, binary=binary, mask=ad.Tensor(binary),
@@ -33,6 +40,92 @@ def manual_mask(binary):
 def small_stage(rng, C=2, k=2, D=8, layers=1, heads=2, dtype=None):
     return gaze.init_gaze_stage(rng, C=C, k=k, D=D, ca_layers=layers, heads=heads,
                                 dtype=dtype)
+
+
+# ---------------------------------------------------------------------------
+# unbatched reference formulation (test oracle)
+# ---------------------------------------------------------------------------
+
+
+def _tensor(a):
+    return ad.Tensor(a, dtype=a.dtype)
+
+
+def split_by_mask(f, m, k):
+    """Partition one feature map into focal and context token lists.
+
+    f: (H, W, C); m: PatchMask (first sample used). Returns
+    (focal_tokens, context_tokens, (focal_positions, context_positions));
+    tokens are flattened k x k patches, positions are (row, col) patch
+    coordinates, row-major within each group.
+    """
+    if f.ndim != 3:
+        raise DimensionError("split_by_mask expects a single (H, W, C) sample")
+    H, W, C = f.shape
+    P, Q = H // k, W // k
+    if m.grid_side != P:
+        raise DimensionError(f"mask grid {m.grid_side} does not match H/k = {P}")
+    tokens = f.data.reshape(P, k, Q, k, C).transpose(0, 2, 1, 3, 4).reshape(P * Q, k * k * C)
+    flat = m.binary[0].reshape(-1)
+    focal_idx = np.nonzero(flat == 1)[0]
+    context_idx = np.nonzero(flat == 0)[0]
+    positions = (np.stack(np.divmod(focal_idx, P), axis=1),
+                 np.stack(np.divmod(context_idx, P), axis=1))
+    return _tensor(tokens[focal_idx]), _tensor(tokens[context_idx]), positions
+
+
+def focal_reassemble(focal_tokens, positions, H, W, k):
+    """Write focal patches back in place; every other position stays zero."""
+    P, Q = H // k, W // k
+    pos = np.asarray(positions)
+    if pos.size and (pos.min() < 0 or pos.max() >= P):
+        raise InputError("focal_reassemble: position outside the patch grid")
+    flat_idx = pos[:, 0] * P + pos[:, 1]
+    if len(np.unique(flat_idx)) != len(flat_idx):
+        raise InputError("focal_reassemble: duplicate positions")
+    C = focal_tokens.shape[1] // (k * k)
+    grid = np.zeros((P * Q, k * k * C), dtype=focal_tokens.dtype)
+    grid[flat_idx] = focal_tokens.data
+    return _tensor(grid.reshape(P, Q, k, k, C).transpose(0, 2, 1, 3, 4).reshape(H, W, C))
+
+
+def conditional_position_encoding(focal_tokens, context_tokens, positions, params):
+    """Scatter all tokens onto the patch grid, convolve, gather back per group.
+
+    positions is the (focal_positions, context_positions) pair from
+    split_by_mask. Token width must match the depthwise kernel channels.
+    """
+    pos_f, pos_c = positions
+    P = int(max(pos_f.max(initial=-1), pos_c.max(initial=-1))) + 1
+    idx_f = pos_f[:, 0] * P + pos_f[:, 1]
+    idx_c = pos_c[:, 0] * P + pos_c[:, 1]
+    D = focal_tokens.shape[-1]
+    grid = np.zeros((P * P, D), dtype=focal_tokens.dtype)
+    grid[idx_f] = focal_tokens.data
+    grid[idx_c] = context_tokens.data
+    enc = ad.depthwise_conv2d(_tensor(grid.reshape(P, P, D)), params.pe_w, params.pe_b)
+    enc = enc.data.reshape(P * P, D)
+    return _tensor(enc[idx_f]), _tensor(enc[idx_c])
+
+
+def context_impression(focal_tokens, context_tokens, positions, params):
+    """Single-sample Context Impression.
+
+    Projects both groups to the common width, adds conditional position
+    encodings, runs the cross-attention stack (focal queries, context
+    keys/values, no key weights), and mean-pools the focal tokens.
+    """
+    if focal_tokens.shape[0] == 0 or context_tokens.shape[0] == 0:
+        raise InputError("context_impression needs both groups nonempty")
+    q = ad.linear(focal_tokens, params.token_w, params.token_b)
+    kv = ad.linear(context_tokens, params.token_w, params.token_b)
+    pe_f, pe_c = conditional_position_encoding(q, kv, positions, params)
+    h = ad.add(q, pe_f)
+    kv = ad.add(kv, pe_c)
+    for layer in params.ca_layers:
+        h = gaze._ca_block(h, kv, layer, params.heads, params.ffn_enabled)
+    h = ad.layer_norm(h, params.out_ln_g, params.out_ln_b)
+    return ad.reduce_mean(h, axis=0)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -62,7 +155,7 @@ class TestSplitByMask:
         f = ad.Tensor(rng.standard_normal((8, 8, 3)))
         binary = np.ones((4, 4))
         binary[2, 1] = 0
-        focal, context, (pos_f, pos_c) = gaze.split_by_mask(f, manual_mask(binary), k=2)
+        focal, context, (pos_f, pos_c) = split_by_mask(f, manual_mask(binary), k=2)
         assert focal.shape == (15, 2 * 2 * 3)
         assert context.shape == (1, 2 * 2 * 3)
         np.testing.assert_array_equal(pos_c, [[2, 1]])
@@ -73,9 +166,9 @@ class TestSplitByMask:
         binary = (rng.random((4, 4)) > 0.5).astype(float)
         binary[0, 0], binary[3, 3] = 1, 0  # keep both groups nonempty
         f = ad.Tensor(f_np)
-        focal, context, (pos_f, pos_c) = gaze.split_by_mask(f, manual_mask(binary), k=2)
-        rebuilt = ad.add(gaze.focal_reassemble(focal, pos_f, 8, 8, 2),
-                         gaze.focal_reassemble(context, pos_c, 8, 8, 2))
+        focal, context, (pos_f, pos_c) = split_by_mask(f, manual_mask(binary), k=2)
+        rebuilt = ad.add(focal_reassemble(focal, pos_f, 8, 8, 2),
+                         focal_reassemble(context, pos_c, 8, 8, 2))
         np.testing.assert_array_equal(rebuilt.data, f_np)
 
     def test_k1_tokens_are_cells(self):
@@ -83,14 +176,14 @@ class TestSplitByMask:
         f_np = rng.standard_normal((4, 4, 3)).astype(np.float32)
         binary = np.zeros((4, 4))
         binary[1, 2] = 1
-        focal, _, (pos_f, _) = gaze.split_by_mask(ad.Tensor(f_np), manual_mask(binary), k=1)
+        focal, _, (pos_f, _) = split_by_mask(ad.Tensor(f_np), manual_mask(binary), k=1)
         np.testing.assert_array_equal(focal.data[0], f_np[1, 2])
         np.testing.assert_array_equal(pos_f, [[1, 2]])
 
     def test_grid_mismatch_error(self):
         f = ad.Tensor(np.zeros((8, 8, 3)))
         with pytest.raises(DimensionError):
-            gaze.split_by_mask(f, manual_mask(np.ones((2, 2))), k=2)
+            split_by_mask(f, manual_mask(np.ones((2, 2))), k=2)
 
 
 class TestFocalReassemble:
@@ -99,8 +192,8 @@ class TestFocalReassemble:
         f_np = rng.standard_normal((6, 6, 2)).astype(np.float32)
         mask = manual_mask(np.ones((3, 3)))
         mask.binary[0, 1, 1] = 0  # split needs nonempty context
-        focal, _, (pos_f, _) = gaze.split_by_mask(ad.Tensor(f_np), mask, k=2)
-        out = gaze.focal_reassemble(focal, pos_f, 6, 6, 2)
+        focal, _, (pos_f, _) = split_by_mask(ad.Tensor(f_np), mask, k=2)
+        out = focal_reassemble(focal, pos_f, 6, 6, 2)
         expected = f_np.copy()
         expected[2:4, 2:4, :] = 0
         np.testing.assert_array_equal(out.data, expected)
@@ -109,7 +202,7 @@ class TestFocalReassemble:
         rng = np.random.default_rng(4)
         k, C = 2, 3
         token = ad.Tensor(rng.standard_normal((1, k * k * C)))
-        out = gaze.focal_reassemble(token, np.array([[1, 1]]), 8, 8, k)
+        out = focal_reassemble(token, np.array([[1, 1]]), 8, 8, k)
         assert np.count_nonzero(out.data) == k * k * C
 
     def test_masked_write_equals_upsampled_mask_times_feature(self):
@@ -118,15 +211,15 @@ class TestFocalReassemble:
         binary = (rng.random((4, 4)) > 0.4).astype(float)
         binary[0, 0], binary[1, 1] = 1, 0
         f = ad.Tensor(f_np)
-        focal, _, (pos_f, _) = gaze.split_by_mask(f, manual_mask(binary), k=2)
-        rebuilt = gaze.focal_reassemble(focal, pos_f, 8, 8, 2)
+        focal, _, (pos_f, _) = split_by_mask(f, manual_mask(binary), k=2)
+        rebuilt = focal_reassemble(focal, pos_f, 8, 8, 2)
         oracle = f_np * np.repeat(np.repeat(binary, 2, 0), 2, 1)[:, :, None]
         np.testing.assert_array_equal(rebuilt.data, oracle.astype(np.float32))
 
     def test_duplicate_positions_rejected(self):
         token = ad.Tensor(np.ones((2, 4)))
         with pytest.raises(InputError):
-            gaze.focal_reassemble(token, np.array([[0, 0], [0, 0]]), 4, 4, 1)
+            focal_reassemble(token, np.array([[0, 0], [0, 0]]), 4, 4, 1)
 
 
 class TestFocalAbstract:
@@ -174,7 +267,7 @@ class TestConditionalPositionEncoding:
         focal = ad.Tensor(rng.standard_normal((3, 4)))
         context = ad.Tensor(rng.standard_normal((1, 4)))
         positions = (np.array([[0, 0], [0, 1], [1, 0]]), np.array([[1, 1]]))
-        pe_f, pe_c = gaze.conditional_position_encoding(focal, context, positions, params)
+        pe_f, pe_c = conditional_position_encoding(focal, context, positions, params)
         np.testing.assert_allclose(pe_f.data, np.tile([1, 2, 3, 4], (3, 1)), rtol=1e-6)
         np.testing.assert_allclose(pe_c.data, [[1, 2, 3, 4]], rtol=1e-6)
 
@@ -189,7 +282,7 @@ class TestConditionalPositionEncoding:
             positions = (np.stack(np.divmod(idx_f, P), 1), np.stack(np.divmod(idx_c, P), 1))
             focal = ad.Tensor(rng.standard_normal((n_focal, D)))
             context = ad.Tensor(rng.standard_normal((P * P - n_focal, D)))
-            pe_f, pe_c = gaze.conditional_position_encoding(focal, context, positions, params)
+            pe_f, pe_c = conditional_position_encoding(focal, context, positions, params)
 
         grid = np.zeros((P, P, D))
         grid.reshape(-1, D)[idx_f] = focal.data
@@ -225,7 +318,7 @@ class TestContextImpression:
             x_f = rng.standard_normal((2, D))
             x_c = rng.standard_normal((2, D))
             positions = (np.array([[0, 0], [0, 1]]), np.array([[1, 0], [1, 1]]))
-            e_c = gaze.context_impression(ad.Tensor(x_f), ad.Tensor(x_c), positions, params)
+            e_c = context_impression(ad.Tensor(x_f), ad.Tensor(x_c), positions, params)
 
         q_n = layer_norm_np(x_f)
         kv_n = layer_norm_np(x_c)
@@ -244,11 +337,11 @@ class TestContextImpression:
             pos_c = np.stack(np.divmod(order[n_f:], 4), 1)
             tok_f = rng.standard_normal((n_f, width))
             tok_c = rng.standard_normal((n_c, width))
-            base = gaze.context_impression(ad.Tensor(tok_f), ad.Tensor(tok_c),
+            base = context_impression(ad.Tensor(tok_f), ad.Tensor(tok_c),
                                            (pos_f, pos_c), params)
             pf = rng.permutation(n_f)
             pc = rng.permutation(n_c)
-            permuted = gaze.context_impression(ad.Tensor(tok_f[pf]), ad.Tensor(tok_c[pc]),
+            permuted = context_impression(ad.Tensor(tok_f[pf]), ad.Tensor(tok_c[pc]),
                                                (pos_f[pf], pos_c[pc]), params)
         np.testing.assert_allclose(permuted.data, base.data, rtol=1e-9)
 
@@ -256,7 +349,7 @@ class TestContextImpression:
         rng = np.random.default_rng(14)
         params = small_stage(rng, C=1, k=1, D=4, heads=1)
         with pytest.raises(InputError):
-            gaze.context_impression(ad.Tensor(np.zeros((0, 4))), ad.Tensor(np.ones((2, 4))),
+            context_impression(ad.Tensor(np.zeros((0, 4))), ad.Tensor(np.ones((2, 4))),
                                     (np.zeros((0, 2), int), np.array([[0, 0], [0, 1]])), params)
 
     def test_heads_divisibility(self):
@@ -289,9 +382,31 @@ class TestGazeShiftStage:
             for i in range(3):
                 f_i = ad.Tensor(f_np[i])
                 m_i = parsers.shift_parse(ad.Tensor(f_np[i][None]), k, parser)
-                focal, context, positions = gaze.split_by_mask(f_i, m_i, k)
-                ref = gaze.context_impression(focal, context, positions, stage)
+                focal, context, positions = split_by_mask(f_i, m_i, k)
+                ref = context_impression(focal, context, positions, stage)
                 np.testing.assert_allclose(out.e_c.data[i], ref.data, rtol=1e-9)
+
+    def test_batched_matches_reference_at_padding_extremes(self):
+        # one batch holding a single focal patch, a single context patch and
+        # a random split, so each group block is mostly padding for one sample
+        rng = np.random.default_rng(23)
+        C, k, P = 3, 2, 4
+        with ad.precision("float64"):
+            stage = gaze.init_gaze_stage(rng, C=C, k=k, D=8, ca_layers=2, heads=2,
+                                         dtype=np.float64)
+            binary = np.zeros((3, P, P))
+            binary[0, 2, 1] = 1
+            binary[1] = 1
+            binary[1, 0, 3] = 0
+            binary[2] = rng.random((P, P)) < 0.5
+            binary[2, 0, 0], binary[2, 3, 3] = 1, 0
+            f_np = rng.standard_normal((3, P * k, P * k, C))
+            e_c = gaze.context_impression_batched(ad.Tensor(f_np), k, manual_mask(binary), stage)
+            for i in range(3):
+                focal, context, positions = split_by_mask(ad.Tensor(f_np[i]),
+                                                          manual_mask(binary[i]), k)
+                ref = context_impression(focal, context, positions, stage)
+                np.testing.assert_allclose(e_c.data[i], ref.data, rtol=1e-9)
 
     def test_f_next_ignores_context_content(self):
         rng = np.random.default_rng(18)

@@ -1,6 +1,7 @@
 """Trainer tests: augmentation, MixUp, the optimizer, the loop, and
 checkpoint/resume determinism."""
 
+import itertools
 import math
 import os
 import struct
@@ -275,6 +276,18 @@ class TestCheckpointCompatibility:
         # the rows the writing trainer logged for steps 2 and 3
         assert [r.csv() for r in trainer.log] == ["2,1.385689,0.250000",
                                                    "3,1.387000,0.500000"]
+
+    def test_resumed_run_prints_its_last_step_and_rate(self, capsys, monkeypatch):
+        # a clock that advances one second per reading: the rate is the steps
+        # this call ran over this call's wall time
+        clock = itertools.count()
+        monkeypatch.setattr(T.time, "time", lambda: float(next(clock)))
+        trainer = T.Trainer.resume(FIXTURE, [(fixture_dataset(), 1.0)])
+        trainer.run(2, quiet=False)
+        assert capsys.readouterr().out == "step 3: loss 1.3870 acc 0.500 (2.0 steps/s)\n"
+        trainer.run(1, quiet=False)
+        out = capsys.readouterr().out
+        assert out.startswith("step 4: ") and out.endswith(" (1.0 steps/s)\n")
 
 
 def _rewrite_record(src, dst, name, edit):
