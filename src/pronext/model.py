@@ -65,6 +65,11 @@ class ModelConfig:
             raise ConfigError(
                 f"input_size {self.input_size} not divisible by "
                 f"patch_size * 2^stages = {self.patch_size * 2 ** self.stages}")
+        for name in ("input_size", "in_channels", "stem_channels", "embed_dim", "ca_heads"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.ca_layers < 0:
+            raise ConfigError(f"ca_layers must be >= 0, got {self.ca_layers}")
         if self.embed_dim % self.ca_heads:
             raise ConfigError(f"embed_dim {self.embed_dim} not divisible by "
                               f"{self.ca_heads} heads")
@@ -182,15 +187,36 @@ class ConvBlockParams:
     norm_b: ad.Tensor | None
 
 
+class _NoDraw:
+    """Stands in for the init generator when every parameter is about to be
+    loaded: it draws nothing and hands out float32 zeros of the asked shape."""
+
+    def standard_normal(self, size):
+        return np.zeros(size, dtype=np.float32)
+
+    def uniform(self, low, high, size):
+        return np.zeros(size, dtype=np.float32)
+
+
 class ProNextModel:
     """Parameter container plus forward pass. Single-owner during a
     forward/backward; share read-only across threads only after training."""
 
-    def __init__(self, cfg, seed=0):
+    def __init__(self, cfg, seed=0, rng=None):
+        """`rng`, when given, replaces the generator seeded by `seed`."""
         self.cfg = cfg.validate()
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(seed) if rng is None else rng
         self.params = {}
         self._build()
+
+    @classmethod
+    def from_state(cls, cfg, arrays):
+        """A model whose parameters are `arrays` (name -> array), built
+        without drawing an init; the arrays are used in place where their
+        dtype already matches."""
+        model = cls(cfg, rng=_NoDraw())
+        model.load_state(arrays)
+        return model
 
     # -- construction -----------------------------------------------------
 
@@ -279,7 +305,7 @@ class ProNextModel:
                 raise ConfigError(f"checkpoint missing parameter '{name}'")
             if arrays[name].shape != tensor.shape:
                 raise DimensionError(f"parameter '{name}' shape mismatch")
-            tensor.data = arrays[name].astype(tensor.dtype)
+            tensor.data = arrays[name].astype(tensor.dtype, copy=False)
 
     # -- forward ------------------------------------------------------------
 

@@ -7,6 +7,8 @@ use maxval 1.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import DataError
@@ -51,11 +53,14 @@ def read_pgm_p2(path):
     if len(tokens) < 4:
         raise DataError(f"{path}: truncated header")
     w, h, maxval = _dims(tokens[1:4], path)
-    vals = np.array(_ints(tokens[4:], path), dtype=np.int64)
+    try:
+        vals = np.array(_ints(tokens[4:], path), dtype=np.int64)
+    except OverflowError:
+        raise DataError(f"{path}: pixel value out of range") from None
     if vals.size != w * h:
         raise DataError(f"{path}: expected {w * h} pixels, found {vals.size}")
-    if vals.max(initial=0) > maxval:
-        raise DataError(f"{path}: pixel above declared maxval")
+    if vals.min(initial=0) < 0 or vals.max(initial=0) > maxval:
+        raise DataError(f"{path}: pixel outside [0, maxval]")
     return vals.reshape(h, w)
 
 
@@ -76,6 +81,14 @@ def _read_header(fh, magic, path):
     return w, h
 
 
+def _read_pixels(fh, n, path):
+    """The n pixel bytes after the header. The file size is checked first, so
+    a huge declared size fails without allocating it."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise DataError(f"{path}: truncated pixel data")
+    return fh.read(n)
+
+
 def write_pgm_p5(path, img):
     """Binary grayscale image; img is a 2-D uint8 array."""
     img = np.ascontiguousarray(np.asarray(img, dtype=np.uint8))
@@ -90,9 +103,7 @@ def write_pgm_p5(path, img):
 def read_pgm_p5(path):
     with open(path, "rb") as fh:
         w, h = _read_header(fh, b"P5", path)
-        raw = fh.read(w * h)
-    if len(raw) != w * h:
-        raise DataError(f"{path}: truncated pixel data")
+        raw = _read_pixels(fh, w * h, path)
     return np.frombuffer(raw, dtype=np.uint8).reshape(h, w).copy()
 
 
@@ -110,7 +121,5 @@ def write_ppm_p6(path, img):
 def read_ppm_p6(path):
     with open(path, "rb") as fh:
         w, h = _read_header(fh, b"P6", path)
-        raw = fh.read(w * h * 3)
-    if len(raw) != w * h * 3:
-        raise DataError(f"{path}: truncated pixel data")
+        raw = _read_pixels(fh, w * h * 3, path)
     return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3).copy()

@@ -300,14 +300,14 @@ def _config_record(arrays, name, cls):
 
 def model_from_checkpoint_arrays(arrays):
     cfg = _config_record(arrays, "trainer.model_config", model_mod.ModelConfig)
-    model = model_mod.ProNextModel(cfg, seed=0)
-    model.load_state({n[len("param."):]: a for n, a in arrays.items()
-                      if n.startswith("param.")})
-    return model
+    return model_mod.ProNextModel.from_state(
+        cfg, {n[len("param."):]: a for n, a in arrays.items() if n.startswith("param.")})
 
 
 def load_model_from_checkpoint(path):
-    return model_from_checkpoint_arrays(ckpt.load_arrays(path))
+    """The model alone: reads only its parameters and its config snapshot."""
+    return model_from_checkpoint_arrays(
+        ckpt.load_arrays(path, ("param.", "trainer.model_config")))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from pronext import checkpoint as ckpt
 from pronext import data
 from pronext import model as M
 from pronext import train as T
-from pronext.errors import ConfigError, DataError, InputError, NumericError
+from pronext.errors import ConfigError, DataError, DimensionError, InputError, NumericError
 
 
 def tiny_model(seed=0, **overrides):
@@ -290,6 +290,68 @@ class TestCheckpointCompatibility:
         assert out.startswith("step 4: ") and out.endswith(" (1.0 steps/s)\n")
 
 
+class TestModelLoadPath:
+    """`load_model_from_checkpoint` reads only the model's records into their
+    final arrays and builds the model without drawing an init."""
+
+    def test_v2_payload_bytes_equal_v1(self, tmp_path):
+        arrays = ckpt.load_arrays(FIXTURE)
+        path = tmp_path / "v2.ckpt"
+        ckpt.save_arrays(path, arrays)
+        with open(FIXTURE, "rb") as fh:
+            v1 = fh.read()
+        v2 = path.read_bytes()
+        assert struct.unpack("<I", v1[4:8]) == (1,) and struct.unpack("<I", v2[4:8]) == (2,)
+        payload = sum(a.nbytes for a in arrays.values())
+        assert v1[len(v1) - payload:] == v2[len(v2) - payload:]
+        again = ckpt.load_arrays(path)
+        assert list(again) == list(arrays)
+        for name, arr in arrays.items():
+            assert again[name].dtype == arr.dtype and again[name].shape == arr.shape
+            assert again[name].tobytes() == arr.tobytes()
+
+    def test_corrupt_optimizer_record_loads_model_but_not_resume(self, tmp_path):
+        arrays = ckpt.load_arrays(FIXTURE)
+        path = tmp_path / "v2.ckpt"
+        ckpt.save_arrays(path, arrays)
+        blob = bytearray(path.read_bytes())
+        name = "opt.m.head.mlp_w1"
+        start = len(blob) - sum(a.nbytes for a in arrays.values())
+        start += sum(a.nbytes for n, a in itertools.takewhile(lambda kv: kv[0] != name,
+                                                               arrays.items()))
+        blob[start + 5] ^= 0x10
+        path.write_bytes(bytes(blob))
+
+        model = T.load_model_from_checkpoint(path)
+        for n, t in model.params.items():
+            assert t.data.tobytes() == arrays[f"param.{n}"].tobytes()
+        with pytest.raises(DataError, match=f"checksum mismatch for '{name}'"):
+            T.Trainer.resume(path, [(fixture_dataset(), 1.0)])
+
+    def test_load_draws_no_init(self, monkeypatch):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("the checkpoint load drew an init")
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        model = T.load_model_from_checkpoint(FIXTURE)
+        monkeypatch.undo()
+        reference = ckpt.load_arrays(FIXTURE)
+        for n, t in model.params.items():
+            assert t.dtype == np.float32
+            assert t.data.tobytes() == reference[f"param.{n}"].tobytes()
+
+    def test_from_state_uses_the_arrays_and_checks_them(self):
+        model = tiny_model(seed=3)
+        arrays = {n: t.data.copy() for n, t in model.params.items()}
+        loaded = M.ProNextModel.from_state(model.cfg, arrays)
+        assert all(loaded.params[n].data is arrays[n] for n in arrays)
+        wrong = dict(arrays, **{"head.fuse_b": np.zeros(3, np.float32)})
+        with pytest.raises(DimensionError, match="head.fuse_b"):
+            M.ProNextModel.from_state(model.cfg, wrong)
+        del arrays["head.mlp_w2"]
+        with pytest.raises(ConfigError, match="head.mlp_w2"):
+            M.ProNextModel.from_state(model.cfg, arrays)
+
+
 def _rewrite_record(src, dst, name, edit):
     arrays = ckpt.load_arrays(src)
     text = ckpt.unpack_text(arrays[name])
@@ -382,6 +444,54 @@ class TestLoadArraysRobustness:
                 bad[byte] ^= 1 << bit
                 flipped.write_bytes(bytes(bad))
                 self._load_or_data_error(flipped)
+
+    def test_every_header_bit_flip_caught(self, small, tmp_path):
+        # version 2: the header CRC turns every flip into a DataError
+        blob = small.read_bytes()
+        header_len = len(blob) - (6 * 4 + 8 + 6)
+        flipped = tmp_path / "flip.ckpt"
+        for byte in range(header_len):
+            for bit in range(8):
+                bad = bytearray(blob)
+                bad[byte] ^= 1 << bit
+                flipped.write_bytes(bytes(bad))
+                with pytest.raises(DataError):
+                    ckpt.load_arrays(flipped)
+
+    def test_every_payload_bit_flip_caught(self, small, tmp_path):
+        blob = small.read_bytes()
+        header_len = len(blob) - (6 * 4 + 8 + 6)
+        flipped = tmp_path / "flip.ckpt"
+        for byte in range(header_len, len(blob)):
+            name = "w" if byte < header_len + 24 else "s" if byte < header_len + 32 else "text"
+            for bit in range(8):
+                bad = bytearray(blob)
+                bad[byte] ^= 1 << bit
+                flipped.write_bytes(bytes(bad))
+                with pytest.raises(DataError, match=f"checksum mismatch for '{name}'"):
+                    ckpt.load_arrays(flipped)
+
+    def test_selective_read_skips_other_records(self, small, tmp_path):
+        # a damaged record that is not read does not stop the others
+        blob = bytearray(small.read_bytes())
+        blob[len(blob) - (6 * 4 + 8 + 6)] ^= 1                  # first byte of 'w'
+        bad = tmp_path / "bad_w.ckpt"
+        bad.write_bytes(bytes(blob))
+        loaded = ckpt.load_arrays(bad, ("s", "te"))
+        assert sorted(loaded) == ["s", "text"]
+        assert loaded["s"].tolist() == [7]
+        assert ckpt.unpack_text(loaded["text"]) == "a = 1\n"
+        with pytest.raises(DataError, match="checksum mismatch for 'w'"):
+            ckpt.load_arrays(bad, "w")
+
+    def test_selective_read_of_truncated_file(self, small, tmp_path):
+        # only 'w' is read, but a cut anywhere fails on the file size
+        blob = small.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(DataError):
+                ckpt.load_arrays(cut, "w")
 
     def test_non_utf8_record_name(self, tmp_path):
         path = tmp_path / "name.ckpt"
