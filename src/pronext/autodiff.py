@@ -890,13 +890,14 @@ def zeros_param(shape, dtype=None):
 
 @dataclass
 class AttentionParams:
-    """Projection weights for one cross-attention layer (all D x D plus biases)."""
+    """Projection weights for one cross-attention layer (all D x D plus biases;
+    the model passes no key bias, which the softmax would cancel)."""
     wq: Tensor
     wk: Tensor
     wv: Tensor
     wo: Tensor
     bq: Tensor
-    bk: Tensor
+    bk: Tensor | None
     bv: Tensor
     bo: Tensor
 

@@ -182,9 +182,7 @@ def cmd_explain(args):
             scores_rows.append((image_id, bbox,
                                 float(score[bbox[1]:bbox[3], bbox[0]:bbox[2]].max())))
             outer_map = explain_mod.mask_to_image(pred.stage_masks[1], 2, model.cfg, sample=j)
-            inner_map = explain_mod.mask_to_image(pred.stage_masks[2], 3, model.cfg, sample=j)
             outer = explain_mod._largest_component(outer_map > args.tau)
-            inner = explain_mod._largest_component(inner_map > args.tau) & outer
             sm = explain_mod.seg_metrics(outer.astype(np.uint8), ds.masks[i])
             seg_iou.append(sm["iou"])
             seg_dice.append(sm["dice"])

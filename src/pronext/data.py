@@ -305,10 +305,6 @@ def interaction_label_rule(cue):
     return 2 * cue["texture"] + cue["palette"]
 
 
-LABEL_RULES = {"detail": detail_label_rule, "structure": structure_label_rule,
-               "interaction": interaction_label_rule}
-
-
 def generate(task, n, rng, image_size=64, num_classes=None):
     if task == "detail":
         return gen_detail_task(n, num_classes or 8, rng, image_size)

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import InputError
+from .model import NUM_STAGES
 from .netpbm import write_pgm_p5
 from .train import bilinear_resize
 
@@ -41,8 +42,8 @@ class LocalizationResult:
 
 def stage_footprint(cfg, stage):
     """Image pixels covered by one patch of the given stage (1-based)."""
-    if not 1 <= stage <= cfg.stages:
-        raise InputError(f"stage must be in 1..{cfg.stages}")
+    if not 1 <= stage <= NUM_STAGES:
+        raise InputError(f"stage must be in 1..{NUM_STAGES}")
     return cfg.patch_size * 2 ** (stage - 1)
 
 

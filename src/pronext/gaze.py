@@ -65,7 +65,6 @@ class GazeStageParams:
     out_ln_g: ad.Tensor | None = None
     out_ln_b: ad.Tensor | None = None
     heads: int = 1
-    ffn_enabled: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -84,17 +83,15 @@ def focal_abstract(masked_map, params):
                                 params.offset_w, params.offset_b)
 
 
-def _ca_block(h, kv, layer, heads, ffn_enabled, key_weights=None):
+def _ca_block(h, kv, layer, heads, key_weights=None):
     """Pre-normalized cross-attention + feed-forward, both residual."""
     q_n = ad.layer_norm(h, layer.ln_q_g, layer.ln_q_b)
     kv_n = ad.layer_norm(kv, layer.ln_kv_g, layer.ln_kv_b)
     h = ad.add(h, ad.multi_head_cross_attention(q_n, kv_n, heads, layer.attn,
                                                 key_weights=key_weights))
-    if ffn_enabled:
-        f_n = ad.layer_norm(h, layer.ln_f_g, layer.ln_f_b)
-        mid = ad.gelu(ad.linear(f_n, layer.ffn_w1, layer.ffn_b1))
-        h = ad.add(h, ad.linear(mid, layer.ffn_w2, layer.ffn_b2))
-    return h
+    f_n = ad.layer_norm(h, layer.ln_f_g, layer.ln_f_b)
+    mid = ad.gelu(ad.linear(f_n, layer.ffn_w1, layer.ffn_b1))
+    return ad.add(h, ad.linear(mid, layer.ffn_w2, layer.ffn_b2))
 
 
 def run_parser(f, k, parser_mode, parser_params, mode="hard", band_pass=True):
@@ -155,7 +152,7 @@ def context_impression_batched(f, k, mask, params):
         ctx_w = ad.sub(ad.Tensor(np.ones((B, P * P), dtype=x.dtype)), m_flat)
         h = x
         for layer in params.ca_layers:
-            h = _ca_block(h, x, layer, params.heads, params.ffn_enabled, key_weights=ctx_w)
+            h = _ca_block(h, x, layer, params.heads, key_weights=ctx_w)
         h = ad.layer_norm(h, params.out_ln_g, params.out_ln_b)
         qw = ad.reshape(m_flat, (B, P * P, 1))
         return ad.div(ad.reduce_sum(ad.mul(h, qw), axis=1),
@@ -166,8 +163,7 @@ def context_impression_batched(f, k, mask, params):
     h = ad.gather_tokens(x, idx_f)                               # (B, Tf, D)
     kv = ad.gather_tokens(x, idx_c)                              # (B, Tc, D)
     for layer in params.ca_layers:
-        h = _ca_block(h, kv, layer, params.heads, params.ffn_enabled,
-                      key_weights=valid_c)
+        h = _ca_block(h, kv, layer, params.heads, key_weights=valid_c)
     h = ad.layer_norm(h, params.out_ln_g, params.out_ln_b)
     qw = ad.Tensor(valid_f[:, :, None])
     return ad.div(ad.reduce_sum(ad.mul(h, qw), axis=1),
@@ -222,14 +218,15 @@ def _init_ca_layer(rng, D, dtype):
     def ones():
         return ad.Tensor(np.ones(D), requires_grad=True, dtype=dtype)
 
+    # no key bias: the softmax cancels a shift shared by all of a query's logits
     attn = ad.AttentionParams(wq=mat(), wk=mat(), wv=mat(), wo=mat(),
-                              bq=vec(), bk=vec(), bv=vec(), bo=vec())
+                              bq=vec(), bk=None, bv=vec(), bo=vec())
     return CALayerParams(ln_q_g=ones(), ln_q_b=vec(), ln_kv_g=ones(), ln_kv_b=vec(),
                          attn=attn, ln_f_g=ones(), ln_f_b=vec(),
                          ffn_w1=mat(), ffn_b1=vec(), ffn_w2=mat(), ffn_b2=vec())
 
 
-def init_gaze_stage(rng, C, k, D, ca_layers, heads, ffn_enabled=True, dtype=None):
+def init_gaze_stage(rng, C, k, D, ca_layers, heads, dtype=None):
     """Parameters for one stage operating on C input channels."""
     dtype = dtype or ad.default_dtype()
     if D % heads:
@@ -248,6 +245,5 @@ def init_gaze_stage(rng, C, k, D, ca_layers, heads, ffn_enabled=True, dtype=None
         out_ln_g=ad.Tensor(np.ones(D), requires_grad=True, dtype=dtype),
         out_ln_b=ad.zeros_param(D, dtype=dtype),
         heads=heads,
-        ffn_enabled=ffn_enabled,
     )
     return params

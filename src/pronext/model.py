@@ -3,10 +3,12 @@
 Layout per forward pass (square input, side divisible by patch_size * 2^3):
 
     stem (two 3x3 conv blocks, stride 1)
-      -> [stage: parse/mask/abstract + conv block] x 3
+      -> [stage: parse/mask/abstract + conv block] x NUM_STAGES (3)
       -> global average pool -> project to the embedding width
       -> add the three context impressions
       -> 2-layer MLP head (final layer zero-initialized)
+
+A conv block is a bias-free 3x3 conv -> block_norm -> GELU.
 
 Channels double and spatial dims halve at every stage; the patch grid side
 therefore halves too (P_l = H_l / patch_size). The parser can be swapped for
@@ -17,6 +19,7 @@ reduces the model to a plain convolutional trunk.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,6 +40,8 @@ VARIANT_TABLE = {
 
 VALID_PATCH_SIZES = (2, 4, 8)
 
+NUM_STAGES = 3
+
 
 @dataclass
 class ModelConfig:
@@ -44,27 +49,25 @@ class ModelConfig:
     in_channels: int = 3
     stem_channels: int = 8
     patch_size: int = 4
-    stages: int = 3
     embed_dim: int = 64
     ca_layers: int = 1
     ca_heads: int = 4
     parser_mode: str = "shift"
     context_impression_enabled: bool = True
     band_pass: bool = True
-    block_norm: bool = True
-    ca_ffn: bool = True
     variant_name: str = "custom"
     num_classes: int = 4
 
+    # keys older files and snapshots carry, readable only at the value implemented
+    RETIRED: ClassVar[dict] = {"stages": NUM_STAGES, "block_norm": True, "ca_ffn": True}
+
     def validate(self):
-        if self.stages != 3:
-            raise ConfigError(f"stages must be 3, got {self.stages}")
         if self.patch_size not in VALID_PATCH_SIZES:
             raise ConfigError(f"patch_size must be one of {VALID_PATCH_SIZES}")
-        if self.input_size % (self.patch_size * 2 ** self.stages):
+        if self.input_size % (self.patch_size * 2 ** NUM_STAGES):
             raise ConfigError(
                 f"input_size {self.input_size} not divisible by "
-                f"patch_size * 2^stages = {self.patch_size * 2 ** self.stages}")
+                f"patch_size * 2^{NUM_STAGES} = {self.patch_size * 2 ** NUM_STAGES}")
         for name in ("input_size", "in_channels", "stem_channels", "embed_dim", "ca_heads"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -122,9 +125,12 @@ def parse_config(cls, text, source):
 
     Field types come from the dataclass defaults (bool, int, float or str).
     `#` starts a comment; blank lines are skipped. Every field must appear
-    exactly once. Errors raise ConfigError naming `source` and the line.
+    exactly once. A key in `cls.RETIRED` may appear at most once, and only at
+    its one value. Errors raise ConfigError naming `source` and the line.
     """
     types = {f.name: type(f.default) for f in fields(cls)}
+    retired = getattr(cls, "RETIRED", {})
+    kinds = {**types, **{key: type(value) for key, value in retired.items()}}
     seen = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
@@ -135,20 +141,23 @@ def parse_config(cls, text, source):
             raise ConfigError(f"{where}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in types:
+        if key not in kinds:
             raise ConfigError(f"{where}: unknown key '{key}'")
         if key in seen:
             raise ConfigError(f"{where}: duplicate key '{key}'")
-        kind = types[key]
+        kind = kinds[key]
         try:
             seen[key] = _BOOL_WORDS[raw.lower()] if kind is bool else kind(raw)
         except (KeyError, ValueError):
             raise ConfigError(f"{where}: expected {kind.__name__} for '{key}', "
                               f"got '{raw}'") from None
+        if key in retired and seen[key] != retired[key]:
+            raise ConfigError(f"{where}: '{key}' is retired; only "
+                              f"'{key} = {retired[key]}' is supported, got '{raw}'")
     missing = [name for name in types if name not in seen]
     if missing:
         raise ConfigError(f"{source}: missing config key '{missing[0]}'")
-    return cls(**seen).validate()
+    return cls(**{name: seen[name] for name in types}).validate()
 
 
 def load_config(cls, path):
@@ -182,9 +191,8 @@ class Prediction:
 @dataclass
 class ConvBlockParams:
     w: ad.Tensor
-    b: ad.Tensor
-    norm_g: ad.Tensor | None
-    norm_b: ad.Tensor | None
+    norm_g: ad.Tensor
+    norm_b: ad.Tensor
 
 
 class _NoDraw:
@@ -225,16 +233,12 @@ class ProNextModel:
         return tensor
 
     def _conv_block(self, name, cin, cout):
-        rng = self.rng
-        blk = ConvBlockParams(
-            w=self._register(f"{name}.w", ad.trunc_normal(rng, (3, 3, cin, cout))),
-            b=self._register(f"{name}.b", ad.zeros_param(cout)),
-            norm_g=None, norm_b=None)
-        if self.cfg.block_norm:
-            blk.norm_g = self._register(f"{name}.norm_g",
-                                        ad.Tensor(np.ones(cout), requires_grad=True))
-            blk.norm_b = self._register(f"{name}.norm_b", ad.zeros_param(cout))
-        return blk
+        """3x3 conv weights and no bias, which block_norm would cancel."""
+        return ConvBlockParams(
+            w=self._register(f"{name}.w", ad.trunc_normal(self.rng, (3, 3, cin, cout))),
+            norm_g=self._register(f"{name}.norm_g",
+                                  ad.Tensor(np.ones(cout), requires_grad=True)),
+            norm_b=self._register(f"{name}.norm_b", ad.zeros_param(cout)))
 
     def _register_tree(self, prefix, obj):
         """Register every Tensor reachable from a dataclass tree."""
@@ -259,7 +263,7 @@ class ProNextModel:
         self.stage_parsers = []
         self.stage_params = []
         self.post_blocks = []
-        for l in range(cfg.stages):
+        for l in range(NUM_STAGES):
             C = cfg.stage_channels(l)
             if cfg.parser_mode == "shift" or cfg.parser_mode == "plain_field":
                 parser = parsers.init_shift_parser(self.rng, channels=C)
@@ -273,12 +277,12 @@ class ProNextModel:
 
             stage = gaze.init_gaze_stage(self.rng, C=C, k=cfg.patch_size,
                                          D=cfg.embed_dim, ca_layers=cfg.ca_layers,
-                                         heads=cfg.ca_heads, ffn_enabled=cfg.ca_ffn)
+                                         heads=cfg.ca_heads)
             self._register_tree(f"stage{l}.gaze", stage)
             self.stage_params.append(stage)
             self.post_blocks.append(self._conv_block(f"stage{l}.post", 2 * C, 2 * C))
 
-        final_c = cfg.stage_channels(cfg.stages)
+        final_c = cfg.stage_channels(NUM_STAGES)
         self.fuse_w = self._register("head.fuse_w",
                                      ad.trunc_normal(self.rng, (final_c, cfg.embed_dim)))
         self.fuse_b = self._register("head.fuse_b", ad.zeros_param(cfg.embed_dim))
@@ -296,9 +300,6 @@ class ProNextModel:
         for t in self.params.values():
             t.grad = None
 
-    def num_parameters(self):
-        return sum(t.size for t in self.params.values())
-
     def load_state(self, arrays):
         for name, tensor in self.params.items():
             if name not in arrays:
@@ -310,10 +311,8 @@ class ProNextModel:
     # -- forward ------------------------------------------------------------
 
     def _apply_block(self, h, blk):
-        h = ad.conv2d(h, blk.w, blk.b, stride=1, padding=1)
-        if blk.norm_g is not None:
-            h = ad.block_norm(h, blk.norm_g, blk.norm_b)
-        return ad.gelu(h)
+        h = ad.conv2d(h, blk.w, stride=1, padding=1)
+        return ad.gelu(ad.block_norm(h, blk.norm_g, blk.norm_b))
 
     def forward(self, x, mode="hard", zero_context=False):
         """x: (B, H, W, C) array or Tensor. mode 'soft' replaces the binary
@@ -333,7 +332,7 @@ class ProNextModel:
             h = self._apply_block(h, blk)
 
         masks, embeddings = [], []
-        for l in range(cfg.stages):
+        for l in range(NUM_STAGES):
             side_in, chan_in = h.shape[1], h.shape[3]
             if cfg.parser_mode == "none":
                 out = gaze.plain_abstract(h, self.stage_params[l])
@@ -391,7 +390,7 @@ def _field_net_flops(P):
     return P * P * per_cell
 
 
-def _attention_flops(P, token_width, D, layers, ffn):
+def _attention_flops(P, token_width, D, layers):
     """Worst-case split: n_focal = n_context = P^2 / 2."""
     n = P * P
     nf = nc = n / 2
@@ -399,8 +398,7 @@ def _attention_flops(P, token_width, D, layers, ffn):
     total += n * 9 * D * 2                   # depthwise position encoding
     per_layer = (nf + 2 * nc + nf) * D * D * 2   # Q, K, V, O projections
     per_layer += 2 * nf * nc * D * 2             # logits and weighted sum
-    if ffn:
-        per_layer += 2 * nf * D * D * 2          # two D x D feed-forward mats
+    per_layer += 2 * nf * D * D * 2              # two D x D feed-forward mats
     return total + layers * per_layer
 
 
@@ -418,7 +416,7 @@ def flop_count(cfg):
     total += _conv_flops(side, 3, 3, cfg.in_channels, cfg.stem_channels)
     total += _conv_flops(side, 3, 3, cfg.stem_channels, cfg.stem_channels)
 
-    for l in range(cfg.stages):
+    for l in range(NUM_STAGES):
         C = cfg.stage_channels(l)
         H = cfg.stage_side(l)
         P = cfg.grid_side(l)
@@ -435,10 +433,10 @@ def flop_count(cfg):
         total += _conv_flops(half, 3, 3, C, 2 * C)          # deformable contraction
         if cfg.parser_mode != "none" and cfg.context_impression_enabled:
             total += _attention_flops(P, cfg.patch_size ** 2 * C, cfg.embed_dim,
-                                      cfg.ca_layers, cfg.ca_ffn)
+                                      cfg.ca_layers)
         total += _conv_flops(half, 3, 3, 2 * C, 2 * C)      # post conv block
 
-    final_c = cfg.stage_channels(cfg.stages)
+    final_c = cfg.stage_channels(NUM_STAGES)
     total += final_c * cfg.embed_dim * 2
     total += cfg.embed_dim * cfg.embed_dim * 2
     total += cfg.embed_dim * cfg.num_classes * 2

@@ -59,7 +59,6 @@ class PatchMask:
     probs: np.ndarray
     binary: np.ndarray
     mask: ad.Tensor
-    probs_tensor: ad.Tensor
     soft: bool = False
 
     @property
@@ -257,8 +256,7 @@ def finish_mask(probs_t, mode):
         # bitwise), backward passes the sigmoid gradient through unchanged
         mask = ad.add(ad.Tensor(binary, dtype=probs.dtype),
                       ad.sub(probs_t, ad.stop_gradient(probs_t)))
-    return PatchMask(probs=probs.copy(), binary=binary, mask=mask,
-                     probs_tensor=probs_t, soft=(mode == "soft"))
+    return PatchMask(probs=probs.copy(), binary=binary, mask=mask, soft=(mode == "soft"))
 
 
 def _check_square(f, k):

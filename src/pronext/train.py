@@ -47,8 +47,8 @@ class TrainConfig:
             raise ConfigError("hflip_prob must be in [0, 1]")
         if self.mixup_alpha < 0:
             raise ConfigError("mixup_alpha must be >= 0 (0 disables MixUp)")
-        if self.crop > self.resize:
-            raise ConfigError("crop must be <= resize")
+        if not 1 <= self.crop <= self.resize:
+            raise ConfigError(f"crop must be in 1..resize ({self.resize}), got {self.crop}")
         if self.batch_size < 1 or self.steps < 0:
             raise ConfigError("batch_size >= 1 and steps >= 0 required")
         return self
@@ -165,13 +165,14 @@ class AdamW:
                 out[f"opt.v.{name}"] = self.v[name]
         return out
 
-    def load_state_arrays(self, arrays):
+    def load_state_arrays(self, params, arrays):
+        """Take the moments from freshly loaded `arrays` in place, no copy."""
         self.t = _int_record(arrays, "opt.t")
         for name in self.m:
             key = f"opt.m.{name}"
             if key in arrays:
-                self.m[name] = arrays[key].copy()
-                self.v[name] = _record(arrays, f"opt.v.{name}").copy()
+                self.m[name] = _moment_record(arrays, key, params[name])
+                self.v[name] = _moment_record(arrays, f"opt.v.{name}", params[name])
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +274,7 @@ class Trainer:
         model = model_from_checkpoint_arrays(arrays)
         cfg = _config_record(arrays, "trainer.train_config", TrainConfig)
         trainer = cls(model, cfg, datasets)
-        trainer.optimizer.load_state_arrays(arrays)
+        trainer.optimizer.load_state_arrays(model.params, arrays)
         trainer.step = _int_record(arrays, "trainer.step")
         trainer.rng = ckpt.unpack_rng_state(_record(arrays, "trainer.rng"))
         return trainer
@@ -292,6 +293,15 @@ def _int_record(arrays, name):
     if arr.size != 1:
         raise DataError(f"checkpoint record '{name}' holds {arr.size} values, expected 1")
     return int(arr.reshape(-1)[0])
+
+
+def _moment_record(arrays, name, param):
+    """An optimizer moment: the shape of its parameter, updated in place."""
+    arr = _record(arrays, name)
+    if arr.shape != param.shape:
+        raise DataError(f"checkpoint record '{name}' has shape {arr.shape}, "
+                        f"expected {param.shape}")
+    return arr
 
 
 def _config_record(arrays, name, cls):

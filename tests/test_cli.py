@@ -170,6 +170,21 @@ class TestMalformedInputs:
         assert rc == 1
         assert "trainer.model_config:16: unknown key 'depth'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old,new,lineno", [("stages = 3", "stages = 4", 5),
+                                                ("block_norm = True", "block_norm = False", 12),
+                                                ("ca_ffn = True", "ca_ffn = False", 13)])
+    def test_eval_retired_key_at_another_value_exit_1(self, tmp_path, capsys, old, new, lineno):
+        arrays = ckpt.load_arrays(self.FIXTURE)
+        text = ckpt.unpack_text(arrays["trainer.model_config"])
+        arrays["trainer.model_config"] = ckpt.pack_text(text.replace(old, new))
+        bad = tmp_path / "retired.ckpt"
+        ckpt.save_arrays(bad, arrays)
+        rc = cli.main(["eval", "--checkpoint", str(bad), "--data", str(tmp_path),
+                       "--out", str(tmp_path / "ev"), "--quiet"])
+        assert rc == 1
+        key = old.split()[0]
+        assert f"trainer.model_config:{lineno}: '{key}' is retired" in capsys.readouterr().err
+
     def test_eval_malformed_image_header_exit_2(self, workspace, capsys):
         rc, out = run_train(workspace, "runM")
         tmp_path, *_, data_dir = workspace

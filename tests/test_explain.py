@@ -213,8 +213,7 @@ class TestMaskToImage:
         from pronext import parsers, autodiff as ad
         probs = probs[None].astype(np.float32)
         binary = (probs > 0.5).astype(np.float32)
-        return parsers.PatchMask(probs=probs, binary=binary,
-                                 mask=ad.Tensor(binary), probs_tensor=ad.Tensor(probs))
+        return parsers.PatchMask(probs=probs, binary=binary, mask=ad.Tensor(binary))
 
     def test_uniform_probs_paint_uniformly(self):
         m = self.fake_mask(np.full((8, 8), 0.7))

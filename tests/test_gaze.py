@@ -32,9 +32,7 @@ def manual_mask(binary):
     if binary.ndim == 2:
         binary = binary[None]
     probs = np.where(binary == 1, 0.9, 0.1).astype(binary.dtype)
-    pt = ad.Tensor(probs)
-    return parsers.PatchMask(probs=probs, binary=binary, mask=ad.Tensor(binary),
-                             probs_tensor=pt)
+    return parsers.PatchMask(probs=probs, binary=binary, mask=ad.Tensor(binary))
 
 
 def small_stage(rng, C=2, k=2, D=8, layers=1, heads=2, dtype=None):
@@ -123,7 +121,7 @@ def context_impression(focal_tokens, context_tokens, positions, params):
     h = ad.add(q, pe_f)
     kv = ad.add(kv, pe_c)
     for layer in params.ca_layers:
-        h = gaze._ca_block(h, kv, layer, params.heads, params.ffn_enabled)
+        h = gaze._ca_block(h, kv, layer, params.heads)
     h = ad.layer_norm(h, params.out_ln_g, params.out_ln_b)
     return ad.reduce_mean(h, axis=0)
 

@@ -102,9 +102,9 @@ class TestConfigFile:
     def test_writer_format(self):
         text = M.config_text(desk_config(band_pass=False))
         lines = text.splitlines()
-        assert text.endswith("\n") and len(lines) == 15
+        assert text.endswith("\n") and len(lines) == 12
         assert lines[0] == "input_size = 32"
-        assert "band_pass = False" in lines and "ca_ffn = True" in lines
+        assert "band_pass = False" in lines and "context_impression_enabled = True" in lines
 
     @pytest.mark.parametrize("word,value", [
         ("true", True), ("TRUE", True), ("Yes", True), ("1", True),
@@ -120,6 +120,9 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("line,message", [
         ("embed_dim = 6.5", "cfg:3: expected int for 'embed_dim'"),
+        ("band_pass = maybe", "cfg:3: expected bool for 'band_pass'"),
+        ("context_impression_enabled", "cfg:3: expected 'key = value'"),
+        # retired keys are still type-checked
         ("block_norm = maybe", "cfg:3: expected bool for 'block_norm'"),
         ("ca_ffn", "cfg:3: expected 'key = value'")])
     def test_bad_line_names_source_and_line(self, line, message):
@@ -128,6 +131,25 @@ class TestConfigFile:
         lines = [l for l in lines if not l.startswith(key)]
         text = "\n".join(lines[:2] + [line] + lines[2:])
         with pytest.raises(ConfigError, match=message):
+            M.parse_config(M.ModelConfig, text, "cfg")
+
+    def test_retired_keys_read_at_their_one_value(self, tmp_path):
+        path = tmp_path / "old.cfg"
+        path.write_text(M.config_text(desk_config())
+                        + "stages = 3\nblock_norm = True\nca_ffn = yes\n")
+        assert M.load_config(M.ModelConfig, path) == desk_config()
+
+    @pytest.mark.parametrize("line", ["block_norm = False", "ca_ffn = False", "stages = 4"])
+    def test_retired_key_at_another_value_names_source_and_line(self, tmp_path, line):
+        path = tmp_path / "old.cfg"
+        path.write_text(M.config_text(desk_config()) + line + "\n")
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=f"old.cfg:13: '{key}' is retired"):
+            M.load_config(M.ModelConfig, path)
+
+    def test_retired_key_twice_is_duplicate(self):
+        text = M.config_text(desk_config()) + "stages = 3\nstages = 3\n"
+        with pytest.raises(ConfigError, match="cfg:14: duplicate key 'stages'"):
             M.parse_config(M.ModelConfig, text, "cfg")
 
     def test_unreadable_file_is_config_error(self, tmp_path):
@@ -239,6 +261,24 @@ class TestLossAndGrads:
         for group, names in groups.items():
             for name in names:
                 assert np.abs(grads[name]).max() > 0, f"{group}:{name} has zero gradient"
+
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    def test_every_parameter_moves_the_loss(self, mode):
+        # in float64 a parameter the output cannot depend on (a bias in front
+        # of block_norm, an attention key bias) shows a roundoff gradient many
+        # orders below the rest
+        with ad.precision("float64"):
+            cfg = desk_config()
+            model = M.ProNextModel(cfg, seed=0)
+            model.mlp_w2.data = np.random.default_rng(8).standard_normal(model.mlp_w2.shape) * 0.2
+            target = np.zeros((2, 4))
+            target[:, 1] = 1
+            pred = model.forward(random_input(cfg, seed=9).astype(np.float64), mode=mode)
+            _, grads = M.loss_and_grads(model, pred, target)
+        assert all(g.dtype == np.float64 for g in grads.values())
+        peaks = {name: float(np.abs(g).max()) for name, g in grads.items()}
+        top = max(peaks.values())
+        assert [name for name, peak in peaks.items() if peak <= 1e-9 * top] == []
 
     def test_mixup_style_target(self):
         cfg = desk_config()

@@ -256,7 +256,9 @@ class TestCheckpointCompatibility:
     """`fixtures/parent_step2.ckpt` was written by the trainer before config
     snapshots shared the config reader: a spatial-attention model (stem 2,
     embed 4, band_pass False, seed 8) trained 2 of 4 steps on
-    `fixture_dataset()` with seed 7, batch 4, lr 1e-3, MixUp 0.2."""
+    `fixture_dataset()` with seed 7, batch 4, lr 1e-3, MixUp 0.2. It also
+    predates the retired config keys (`stages`, `block_norm`, `ca_ffn`) and
+    parameters (conv-block biases `*.b`, attention key biases `*.attn.bk`)."""
 
     def test_loads(self):
         model = T.load_model_from_checkpoint(FIXTURE)
@@ -276,6 +278,23 @@ class TestCheckpointCompatibility:
         # the rows the writing trainer logged for steps 2 and 3
         assert [r.csv() for r in trainer.log] == ["2,1.385689,0.250000",
                                                    "3,1.387000,0.500000"]
+
+    def test_retired_parameter_records_are_ignored(self):
+        arrays = ckpt.load_arrays(FIXTURE)
+        model = T.model_from_checkpoint_arrays(arrays)
+        stored = {n[len("param."):] for n in arrays if n.startswith("param.")}
+        assert stored - model.params.keys() == {
+            "stem.block0.b", "stem.block1.b", "stage0.post.b", "stage1.post.b",
+            "stage2.post.b", "stage0.gaze.ca_layers0.attn.bk",
+            "stage1.gaze.ca_layers0.attn.bk", "stage2.gaze.ca_layers0.attn.bk"}
+
+    def test_resume_takes_the_loaded_moments_in_place(self):
+        arrays = ckpt.load_arrays(FIXTURE)
+        model = T.model_from_checkpoint_arrays(arrays)
+        opt = T.AdamW(model.params.keys())
+        opt.load_state_arrays(model.params, arrays)
+        assert all(opt.m[n] is arrays[f"opt.m.{n}"] and opt.v[n] is arrays[f"opt.v.{n}"]
+                   for n in model.params)
 
     def test_resumed_run_prints_its_last_step_and_rate(self, capsys, monkeypatch):
         # a clock that advances one second per reading: the rate is the steps
@@ -366,8 +385,15 @@ class TestConfigSnapshots:
         (lambda t: t.replace("embed_dim = 4", "embed_dim = four"),
          "trainer.model_config:6: expected int for 'embed_dim'"),
         (lambda t: t.replace("ca_ffn = True", "ca_ffn True"),
-         "trainer.model_config:13: expected 'key = value'")],
-        ids=["unknown_key", "duplicate_key", "bad_int", "no_equals"])
+         "trainer.model_config:13: expected 'key = value'"),
+        (lambda t: t.replace("stages = 3", "stages = 4"),
+         "trainer.model_config:5: 'stages' is retired"),
+        (lambda t: t.replace("block_norm = True", "block_norm = False"),
+         "trainer.model_config:12: 'block_norm' is retired"),
+        (lambda t: t.replace("ca_ffn = True", "ca_ffn = False"),
+         "trainer.model_config:13: 'ca_ffn' is retired")],
+        ids=["unknown_key", "duplicate_key", "bad_int", "no_equals", "retired_stages",
+             "retired_block_norm", "retired_ca_ffn"])
     def test_malformed_model_snapshot_names_record_and_line(self, tmp_path, edit, message):
         path = tmp_path / "bad.ckpt"
         _rewrite_record(FIXTURE, path, "trainer.model_config", edit)
@@ -400,8 +426,12 @@ class TestConfigSnapshots:
     @pytest.mark.parametrize("edit,message", [
         (lambda a: a.update({"trainer.rng": a["trainer.rng"][:3]}), "rng state holds 3"),
         (lambda a: a.update({"trainer.step": a["trainer.step"][:0]}), "'trainer.step' holds 0"),
-        (lambda a: a.pop("opt.v.stem.block0.w"), "no 'opt.v.stem.block0.w'")],
-        ids=["short_rng", "empty_step", "m_without_v"])
+        (lambda a: a.pop("opt.v.stem.block0.w"), "no 'opt.v.stem.block0.w'"),
+        (lambda a: a.update({"opt.m.head.mlp_w1": np.zeros(1, np.float32)}),
+         r"'opt.m.head.mlp_w1' has shape \(1,\), expected \(4, 4\)"),
+        (lambda a: a.update({"opt.v.head.mlp_w1": a["opt.v.head.mlp_w1"].T[:2]}),
+         r"'opt.v.head.mlp_w1' has shape \(2, 4\), expected \(4, 4\)")],
+        ids=["short_rng", "empty_step", "m_without_v", "m_shape", "v_shape"])
     def test_malformed_trainer_record_is_data_error(self, tmp_path, edit, message):
         arrays = ckpt.load_arrays(FIXTURE)
         edit(arrays)
@@ -535,6 +565,15 @@ class TestTrainConfigFile:
         with open(path, "a") as fh:
             fh.write("lr = 0.1\n")
         with pytest.raises(ConfigError, match=f"{path}:12: duplicate key 'lr'"):
+            M.load_config(T.TrainConfig, path)
+
+    def test_crop_must_be_positive(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"crop must be in 1..resize \(0\), got 0"):
+            T.TrainConfig(crop=0, resize=0).validate()
+        path = tmp_path / "t.cfg"
+        path.write_text(M.config_text(tiny_train_cfg()).replace("crop = 16", "crop = 0")
+                        .replace("resize = 16", "resize = 0"))
+        with pytest.raises(ConfigError, match=r"crop must be in 1..resize \(0\), got 0"):
             M.load_config(T.TrainConfig, path)
 
     def test_invariants(self):
