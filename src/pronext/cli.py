@@ -37,6 +37,16 @@ def git_blob_hash(payload):
     return hashlib.sha1(b"blob %d\0" % len(payload) + payload).hexdigest()
 
 
+def git_file_hash(path):
+    """`git_blob_hash` of a file's content, read 1 MiB at a time: a checkpoint
+    can be hundreds of MB."""
+    with open(path, "rb") as fh:
+        digest = hashlib.sha1(b"blob %d\0" % os.fstat(fh.fileno()).st_size)
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def prepare_out_dir(out_dir, force):
     if os.path.exists(out_dir) and os.listdir(out_dir) and not force:
         raise ConfigError(f"output directory '{out_dir}' exists and is not empty "
@@ -44,13 +54,16 @@ def prepare_out_dir(out_dir, force):
     os.makedirs(out_dir, exist_ok=True)
 
 
-def write_manifest(out_dir, command, config_path, seed, config_payload):
+def write_manifest(out_dir, command, config_path, seed, config_payload=None):
+    """`config_hash` is the blob hash of `config_payload` or, without one, of
+    the file at `config_path`."""
     manifest = {
         "command": command,
         "config": config_path or "",
         "seed": int(seed) if seed is not None else None,
         "out_dir": os.path.abspath(out_dir),
-        "config_hash": git_blob_hash(config_payload),
+        "config_hash": (git_file_hash(config_path) if config_payload is None
+                        else git_blob_hash(config_payload)),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -58,18 +71,29 @@ def write_manifest(out_dir, command, config_path, seed, config_payload):
     return manifest
 
 
-def _read_config_payload(path):
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 def _load_datasets_arg(spec_str):
     """Parse `dir[:weight][,dir[:weight]...]` into [(Dataset, weight)]."""
     out = []
     for part in spec_str.split(","):
         path, _, w = part.partition(":")
-        out.append((data_mod.load_dataset(path), float(w) if w else 1.0))
+        try:
+            weight = float(w) if w else 1.0
+        except ValueError:
+            raise ConfigError(f"--data '{part}': weight '{w}' is not a number") from None
+        out.append((data_mod.load_dataset(path), weight))
     return out
+
+
+def _parse_pairs(spec_str):
+    """Parse `name/k[,name/k...]` into [(variant name, patch size)]."""
+    pairs = []
+    for item in spec_str.split(","):
+        name, _, k = item.partition("/")
+        try:
+            pairs.append((name, int(k)))
+        except ValueError:
+            raise ConfigError(f"--pairs item '{item}' is not 'variant/patch_size'") from None
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +137,7 @@ def cmd_train(args):
             raise DataError(f"dataset '{ds.name}' has {ds.num_classes} classes, "
                             f"model expects {cfg.num_classes}")
     prepare_out_dir(args.out, args.force)
-    write_manifest(args.out, "train", args.config, tcfg.seed,
-                   _read_config_payload(args.config))
+    write_manifest(args.out, "train", args.config, tcfg.seed)
     model = model_mod.ProNextModel(cfg, seed=tcfg.seed)
     trainer = train_mod.Trainer(model, tcfg, datasets)
     with open(os.path.join(args.out, "train.csv"), "w", encoding="utf-8") as fh:
@@ -129,8 +152,7 @@ def cmd_eval(args):
     model = train_mod.load_model_from_checkpoint(args.checkpoint)
     datasets = _load_datasets_arg(args.data)
     prepare_out_dir(args.out, args.force)
-    write_manifest(args.out, "eval", args.checkpoint, args.seed,
-                   _read_config_payload(args.checkpoint))
+    write_manifest(args.out, "eval", args.checkpoint, args.seed)
     tcfg = train_mod.TrainConfig(crop=model.cfg.input_size, resize=model.cfg.input_size)
     lines = ["dataset,acc,loss"]
     for ds, _ in datasets:
@@ -150,40 +172,33 @@ def cmd_explain(args):
         raise ConfigError("checkpointed model has no parser; nothing to explain")
     ds = data_mod.load_dataset(args.data)
     prepare_out_dir(args.out, args.force)
-    write_manifest(args.out, "explain", args.checkpoint, args.seed,
-                   _read_config_payload(args.checkpoint))
+    write_manifest(args.out, "explain", args.checkpoint, args.seed)
     mask_dir = os.path.join(args.out, "masks")
     score_dir = os.path.join(args.out, "scores")
     os.makedirs(mask_dir, exist_ok=True)
     os.makedirs(score_dir, exist_ok=True)
-
-    import pronext.autodiff as ad
 
     results, scores_rows, seg_iou, seg_dice = [], [], [], []
     all_class_scores = []
     batch = 32
     for start in range(0, len(ds), batch):
         idx = np.arange(start, min(start + batch, len(ds)))
-        images = ds.images[idx]
-        with ad.no_grad():
-            pred = model.forward(images.astype(np.float32))
+        pred = explain_mod.predict(model, ds.images[idx])
         all_class_scores.append(pred.logits.data.copy())
+        located = explain_mod.localize_batch(pred, model.cfg, args.stage, args.tau)
+        outer = explain_mod.structure_mask(pred, 2, model.cfg, args.tau)
+        results.extend(located)
         for j, i in enumerate(idx):
             image_id = f"img_{i:05d}"
             per_img = os.path.join(mask_dir, image_id)
             os.makedirs(per_img, exist_ok=True)
             parsers.export_stage_masks([m.binary[j] for m in pred.stage_masks], per_img)
-            score = explain_mod.mask_to_image(pred.stage_masks[args.stage - 1],
-                                              args.stage, model.cfg, sample=j)
+            score, bbox = located[j].score_map, located[j].bbox
             explain_mod.write_score_map(
                 os.path.join(score_dir, f"{image_id}_stage{args.stage}.pgm"), score)
-            bbox = explain_mod.map_to_bbox(score, args.tau)
-            results.append(explain_mod.LocalizationResult(score, bbox, args.stage))
             scores_rows.append((image_id, bbox,
                                 float(score[bbox[1]:bbox[3], bbox[0]:bbox[2]].max())))
-            outer_map = explain_mod.mask_to_image(pred.stage_masks[1], 2, model.cfg, sample=j)
-            outer = explain_mod._largest_component(outer_map > args.tau)
-            sm = explain_mod.seg_metrics(outer.astype(np.uint8), ds.masks[i])
+            sm = explain_mod.seg_metrics(outer[j], ds.masks[i])
             seg_iou.append(sm["iou"])
             seg_dice.append(sm["dice"])
 
@@ -239,12 +254,7 @@ def cmd_ablate(args):
 
 
 def cmd_scale_sweep(args):
-    pairs = []
-    for item in args.pairs.split(","):
-        name, _, k = item.partition("/")
-        pairs.append((name, int(k)))
-    if not pairs:
-        raise ConfigError("scale-sweep needs a nonempty variant list")
+    pairs = _parse_pairs(args.pairs)
     prepare_out_dir(args.out, args.force)
     write_manifest(args.out, "scale-sweep", None, args.seed,
                    f"pairs={args.pairs} steps={args.steps} seeds={args.seeds}")
@@ -272,9 +282,8 @@ def cmd_flops(args):
         cfg = model_mod.load_config(model_mod.ModelConfig, args.config)
         print(f"{cfg.variant_name}/{cfg.patch_size},{model_mod.flop_count(cfg):.6f}")
         return 0
-    for item in args.pairs.split(","):
-        name, _, k = item.partition("/")
-        cfg = model_mod.build_variant(name, int(k))
+    for name, k in _parse_pairs(args.pairs):
+        cfg = model_mod.build_variant(name, k)
         print(f"{name}/{k},{model_mod.flop_count(cfg):.6f}")
     return 0
 

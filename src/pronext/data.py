@@ -376,7 +376,7 @@ def load_dataset(data_dir):
     index_path = os.path.join(data_dir, "index.csv")
     if not os.path.exists(index_path):
         raise DataError(f"{data_dir}: no index.csv")
-    images, labels, boxes, masks, masks2 = [], [], [], [], []
+    images, labels, label_lines, boxes, masks, masks2 = [], [], [], [], [], []
     with open(index_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -395,6 +395,7 @@ def load_dataset(data_dir):
                 raise DataError(f"index references missing file '{fname}' (line {lineno})")
             images.append(read_ppm_p6(img_path).astype(np.float32) / 255.0)
             labels.append(label)
+            label_lines.append(lineno)
             boxes.append((x0, y0, x1, y1))
             stem = fname.rsplit(".", 1)[0]
             mask_path = os.path.join(data_dir, stem + "_mask.pgm")
@@ -404,19 +405,29 @@ def load_dataset(data_dir):
             mask2_path = os.path.join(data_dir, stem + "_mask2.pgm")
             if os.path.exists(mask2_path):
                 masks2.append((read_pgm_p5(mask2_path) > 127).astype(np.uint8))
+    if not labels:
+        raise DataError(f"{index_path}: no samples")
 
     name, num_classes = os.path.basename(os.path.normpath(data_dir)), 0
     meta_path = os.path.join(data_dir, "meta.csv")
     if os.path.exists(meta_path):
         with open(meta_path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 key, _, val = line.strip().partition(",")
                 if key == "name":
                     name = val
                 elif key == "num_classes":
-                    num_classes = int(val)
+                    try:
+                        num_classes = int(val)
+                    except ValueError:
+                        raise DataError(f"{meta_path}:{lineno}: num_classes '{val}' "
+                                        "is not an integer") from None
     if not num_classes:
         num_classes = int(max(labels)) + 1
+    for label, lineno in zip(labels, label_lines):
+        if not 0 <= label < num_classes:
+            raise DataError(f"{index_path}:{lineno}: label {label} outside "
+                            f"[0, {num_classes})")
 
     cues = []
     cues_path = os.path.join(data_dir, "cues.csv")

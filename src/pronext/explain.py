@@ -156,40 +156,43 @@ def seg_metrics(pred_mask, gt_mask):
 # ---------------------------------------------------------------------------
 
 
-def localize_batch(model, images, stage=1, tau=0.5, smooth=True):
-    """Forward pass then box extraction from the requested stage's masks.
-
-    Returns (results, class_scores). Uses only the prediction's patch masks.
-    """
+def predict(model, images):
+    """The one gradient-free forward pass the extractions below read."""
     with ad.no_grad():
-        pred = model.forward(images.astype(np.float32))
+        return model.forward(images.astype(np.float32))
+
+
+def localize_batch(pred, cfg, stage=1, tau=0.5, smooth=True):
+    """Box extraction from the requested stage's masks of one prediction.
+
+    Returns one LocalizationResult per sample; only the patch masks are read.
+    """
     m = pred.stage_masks[stage - 1]
     results = []
-    for i in range(images.shape[0]):
-        score = mask_to_image(m, stage, model.cfg, sample=i, smooth=smooth)
+    for i in range(m.batch):
+        score = mask_to_image(m, stage, cfg, sample=i, smooth=smooth)
         results.append(LocalizationResult(score_map=score,
                                           bbox=map_to_bbox(score, tau),
                                           source_stage=stage))
-    return results, pred.logits.data.copy()
+    return results
 
 
-def segment_structures(model, images, tau=0.5):
+def structure_mask(pred, stage, cfg, tau=0.5):
+    """(N, H, W) uint8: the largest 4-connected component of each sample's
+    thresholded stage score map."""
+    m = pred.stage_masks[stage - 1]
+    return np.stack([_largest_component(mask_to_image(m, stage, cfg, sample=i) > tau)
+                     for i in range(m.batch)]).astype(np.uint8)
+
+
+def segment_structures(pred, cfg, tau=0.5):
     """Outer structure from the stage-2 mask, inner from stage-3.
 
     The inner mask is intersected with the outer one (containment by
     construction). Returns (outer (N,H,W), inner (N,H,W)) uint8 arrays.
     """
-    with ad.no_grad():
-        pred = model.forward(images.astype(np.float32))
-    outer_list, inner_list = [], []
-    for i in range(images.shape[0]):
-        outer_map = mask_to_image(pred.stage_masks[1], 2, model.cfg, sample=i)
-        inner_map = mask_to_image(pred.stage_masks[2], 3, model.cfg, sample=i)
-        outer = _largest_component(outer_map > tau)
-        inner = _largest_component(inner_map > tau) & outer
-        outer_list.append(outer.astype(np.uint8))
-        inner_list.append(inner.astype(np.uint8))
-    return np.stack(outer_list), np.stack(inner_list)
+    outer = structure_mask(pred, 2, cfg, tau)
+    return outer, structure_mask(pred, 3, cfg, tau) & outer
 
 
 def _largest_component(hot):

@@ -8,7 +8,8 @@ interaction into one fixed-length embedding: patch tokens are projected to a
 common width, given a conditional position encoding (depthwise convolution
 over the token grid), and run through cross-attention blocks with focal
 queries and context keys/values; the mean over focal tokens is the stage's
-Context Impression.
+Context Impression. A stage built by `init_focal_stage` (no parser, or the
+Context Impression switched off) holds no context weights and has no branch.
 
 Everything here runs on whole batches (`context_impression_batched` says
 how the split is expressed on them). The per-sample token-list formulation
@@ -17,7 +18,7 @@ of the same stage is the oracle in tests/test_gaze.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,16 +52,17 @@ class CALayerParams:
 
 @dataclass
 class GazeStageParams:
-    """Everything one stage owns besides its parser parameters."""
+    """Everything one stage owns besides its parser parameters. The context
+    fields stay None on a stage that computes no Context Impression."""
 
     deform_w: ad.Tensor        # (3, 3, C, 2C)
     deform_b: ad.Tensor
     offset_w: ad.Tensor        # (3, 3, C, 18), zero-init: starts as rigid conv
     offset_b: ad.Tensor
-    token_w: ad.Tensor         # (k*k*C, D)
-    token_b: ad.Tensor
-    pe_w: ad.Tensor            # (3, 3, D) depthwise over the patch grid
-    pe_b: ad.Tensor
+    token_w: ad.Tensor | None = None   # (k*k*C, D)
+    token_b: ad.Tensor | None = None
+    pe_w: ad.Tensor | None = None      # (3, 3, D) depthwise over the patch grid
+    pe_b: ad.Tensor | None = None
     ca_layers: list = field(default_factory=list)
     out_ln_g: ad.Tensor | None = None
     out_ln_b: ad.Tensor | None = None
@@ -171,11 +173,12 @@ def context_impression_batched(f, k, mask, params):
 
 
 def gaze_shift(f, k, parser_mode, parser_params, stage_params, mode="hard",
-               band_pass=True, context_enabled=True):
+               band_pass=True):
     """One full stage: parse, mask, abstract, compress.
 
     f: (B, H, W, C) with H == W divisible by 2k. Returns StageOutput with the
-    halved/doubled focal map and (optionally) the context impression.
+    halved/doubled focal map and, if the stage has its weights, the context
+    impression.
     """
     if f.ndim != 4:
         raise DimensionError("gaze_shift expects a batched (B, H, W, C) tensor")
@@ -192,7 +195,7 @@ def gaze_shift(f, k, parser_mode, parser_params, stage_params, mode="hard",
     f_next = focal_abstract(masked, stage_params)
 
     e_c = None
-    if context_enabled:
+    if stage_params.token_w is not None:
         e_c = context_impression_batched(f, k, m, stage_params)
     return StageOutput(f_next=f_next, e_c=e_c, mask=m)
 
@@ -226,24 +229,29 @@ def _init_ca_layer(rng, D, dtype):
                          ffn_w1=mat(), ffn_b1=vec(), ffn_w2=mat(), ffn_b2=vec())
 
 
-def init_gaze_stage(rng, C, k, D, ca_layers, heads, dtype=None):
-    """Parameters for one stage operating on C input channels."""
+def init_focal_stage(rng, C, dtype=None):
+    """The focal abstraction of one stage on C input channels, without the
+    context weights: what a stage with no Context Impression owns."""
     dtype = dtype or ad.default_dtype()
-    if D % heads:
-        raise ConfigError(f"embedding length {D} not divisible by {heads} heads")
-    token_in = k * k * C
-    params = GazeStageParams(
+    return GazeStageParams(
         deform_w=ad.trunc_normal(rng, (3, 3, C, 2 * C), std=0.02, dtype=dtype),
         deform_b=ad.zeros_param(2 * C, dtype=dtype),
         offset_w=ad.zeros_param((3, 3, C, 18), dtype=dtype),
-        offset_b=ad.zeros_param(18, dtype=dtype),
-        token_w=ad.trunc_normal(rng, (token_in, D), std=0.02, dtype=dtype),
+        offset_b=ad.zeros_param(18, dtype=dtype))
+
+
+def init_gaze_stage(rng, C, k, D, ca_layers, heads, dtype=None):
+    """`init_focal_stage` plus the Context Impression weights, drawn after it."""
+    dtype = dtype or ad.default_dtype()
+    if D % heads:
+        raise ConfigError(f"embedding length {D} not divisible by {heads} heads")
+    return replace(
+        init_focal_stage(rng, C, dtype),
+        token_w=ad.trunc_normal(rng, (k * k * C, D), std=0.02, dtype=dtype),
         token_b=ad.zeros_param(D, dtype=dtype),
         pe_w=ad.trunc_normal(rng, (3, 3, D), std=0.02, dtype=dtype),
         pe_b=ad.zeros_param(D, dtype=dtype),
         ca_layers=[_init_ca_layer(rng, D, dtype) for _ in range(ca_layers)],
         out_ln_g=ad.Tensor(np.ones(D), requires_grad=True, dtype=dtype),
         out_ln_b=ad.zeros_param(D, dtype=dtype),
-        heads=heads,
-    )
-    return params
+        heads=heads)

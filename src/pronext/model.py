@@ -5,7 +5,7 @@ Layout per forward pass (square input, side divisible by patch_size * 2^3):
     stem (two 3x3 conv blocks, stride 1)
       -> [stage: parse/mask/abstract + conv block] x NUM_STAGES (3)
       -> global average pool -> project to the embedding width
-      -> add the three context impressions
+      -> add the stages' context impressions, where they have them
       -> 2-layer MLP head (final layer zero-initialized)
 
 A conv block is a bias-free 3x3 conv -> block_norm -> GELU.
@@ -245,16 +245,12 @@ class ProNextModel:
         if isinstance(obj, ad.Tensor):
             obj.requires_grad = True
             self._register(prefix, obj)
-            return
-        if isinstance(obj, list):
+        elif isinstance(obj, list):
             for i, item in enumerate(obj):
                 self._register_tree(f"{prefix}{i}", item)
-            return
-        if hasattr(obj, "__dataclass_fields__"):
+        elif hasattr(obj, "__dataclass_fields__"):
             for f in fields(obj):
-                child = getattr(obj, f.name)
-                if isinstance(child, (ad.Tensor, list)) or hasattr(child, "__dataclass_fields__"):
-                    self._register_tree(f"{prefix}.{f.name}", child)
+                self._register_tree(f"{prefix}.{f.name}", getattr(obj, f.name))
 
     def _build(self):
         cfg = self.cfg
@@ -263,21 +259,24 @@ class ProNextModel:
         self.stage_parsers = []
         self.stage_params = []
         self.post_blocks = []
+        # a stage computes a Context Impression only behind a parser
+        context = cfg.context_impression_enabled and cfg.parser_mode != "none"
         for l in range(NUM_STAGES):
             C = cfg.stage_channels(l)
-            if cfg.parser_mode == "shift" or cfg.parser_mode == "plain_field":
+            if cfg.parser_mode == "shift":
                 parser = parsers.init_shift_parser(self.rng, channels=C)
+            elif cfg.parser_mode == "plain_field":
+                parser = parsers.ShiftParserParams(None, None, parsers.init_field_net(self.rng))
             elif cfg.parser_mode == "spatial_attention":
                 parser = parsers.init_sa_parser(self.rng)
             else:
                 parser = None
-            if parser is not None:
-                self._register_tree(f"stage{l}.parser", parser)
+            self._register_tree(f"stage{l}.parser", parser)
             self.stage_parsers.append(parser)
 
-            stage = gaze.init_gaze_stage(self.rng, C=C, k=cfg.patch_size,
-                                         D=cfg.embed_dim, ca_layers=cfg.ca_layers,
-                                         heads=cfg.ca_heads)
+            stage = (gaze.init_gaze_stage(self.rng, C=C, k=cfg.patch_size, D=cfg.embed_dim,
+                                          ca_layers=cfg.ca_layers, heads=cfg.ca_heads)
+                     if context else gaze.init_focal_stage(self.rng, C))
             self._register_tree(f"stage{l}.gaze", stage)
             self.stage_params.append(stage)
             self.post_blocks.append(self._conv_block(f"stage{l}.post", 2 * C, 2 * C))
@@ -339,8 +338,7 @@ class ProNextModel:
             else:
                 out = gaze.gaze_shift(
                     h, cfg.patch_size, cfg.parser_mode, self.stage_parsers[l],
-                    self.stage_params[l], mode=mode, band_pass=cfg.band_pass,
-                    context_enabled=cfg.context_impression_enabled)
+                    self.stage_params[l], mode=mode, band_pass=cfg.band_pass)
             h = self._apply_block(out.f_next, self.post_blocks[l])
             if h.shape[1] != side_in // 2 or h.shape[3] != 2 * chan_in:
                 raise DimensionError("stage contract violated: expected spatial "
@@ -350,8 +348,8 @@ class ProNextModel:
 
         pooled = ad.global_avg_pool(h)                           # (B, 8*C0)
         fused = ad.linear(pooled, self.fuse_w, self.fuse_b)      # (B, D)
-        if cfg.context_impression_enabled and cfg.parser_mode != "none" and not zero_context:
-            for e_c in embeddings:
+        for e_c in embeddings:
+            if e_c is not None and not zero_context:
                 fused = ad.add(fused, e_c)
         hidden = ad.gelu(ad.linear(fused, self.mlp_w1, self.mlp_b1))
         logits = ad.linear(hidden, self.mlp_w2, self.mlp_b2)

@@ -12,7 +12,7 @@ gradient crosses the threshold unchanged).
 
 Two ablation baselines live here as well: a spatial-attention parser
 (channel mean/max -> 1x1 conv -> sigmoid) and an unconditioned plain field
-parser (fixed sin activations, input ignored).
+parser (fixed sin activations, input ignored, no condition conv weights).
 
 Mask polarity is fixed at 1 = focal. Thresholding can never produce an
 all-focal or all-context mask: a fallback promotes the top-1 probability
@@ -80,12 +80,10 @@ class PatchMask:
 
 @dataclass
 class ConditionMaps:
-    """Per-patch amplitude/frequency condition, plus pooled per-stage scalars."""
+    """Per-patch amplitude/frequency condition."""
 
     amp: ad.Tensor            # (B, P, P)
     freq: ad.Tensor           # (B, P, P), positive (softplus applied)
-    stage_a: ad.Tensor | None = None
-    stage_w: ad.Tensor | None = None
 
 
 @dataclass
@@ -101,8 +99,8 @@ class FieldNetParams:
 
 @dataclass
 class ShiftParserParams:
-    cond_w: ad.Tensor         # (1, 1, C, 2)
-    cond_b: ad.Tensor         # (2,)
+    cond_w: ad.Tensor | None  # (1, 1, C, 2); None on the unconditioned plain field
+    cond_b: ad.Tensor | None  # (2,)
     field: FieldNetParams
 
 
@@ -133,8 +131,7 @@ def encode_condition(f, k, params):
     patch_avg_pool then 1x1 conv to two channels; frequency gets a softplus
     so w stays positive (negative frequencies are redundant for sine).
     """
-    fb = f if f.ndim == 4 else ad.reshape(f, (1,) + f.shape)
-    pooled = ad.patch_avg_pool(fb, k)                      # (B, P, P, C)
+    pooled = ad.patch_avg_pool(f, k)                       # (B, P, P, C)
     enc = ad.conv2d(pooled, params.cond_w, params.cond_b)  # (B, P, P, 2)
     B, P = enc.shape[0], enc.shape[1]
     amp = ad.reshape(ad.slice_channel(enc, 0), (B, P, P))
@@ -259,14 +256,21 @@ def finish_mask(probs_t, mode):
     return PatchMask(probs=probs.copy(), binary=binary, mask=mask, soft=(mode == "soft"))
 
 
-def _check_square(f, k):
-    fb = f if f.ndim == 4 else ad.reshape(f, (1,) + f.shape)
-    B, H, W, C = fb.shape
+def _grid_side(f, k):
+    """Patch grid side P of a square (B, H, H, C) feature map."""
+    H, W = f.shape[1:3]
     if H != W:
         raise DimensionError("parser input must be square")
     if H % k:
         raise DimensionError(f"feature side {H} not divisible by patch size {k}")
-    return fb, H // k
+    return H // k
+
+
+def _field_mask(B, P, field, acts, mode):
+    """Coordinate grid -> field network -> sigmoid -> PatchMask."""
+    grid = ad.Tensor(np.broadcast_to(build_coordinate_grid(P), (B, P, P, 2)).copy())
+    probs_t = ad.reshape(ad.sigmoid(run_field_net(grid, field, acts)), (B, P, P))
+    return finish_mask(probs_t, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -280,38 +284,28 @@ def shift_parse(f, k, params, mode="hard", band_pass=True):
     `band_pass=False` keeps the conditional sine activations but skips the
     per-stage frequency elimination (the "conditional sine only" ablation).
     """
-    fb, P = _check_square(f, k)
-    B = fb.shape[0]
-    cond = encode_condition(fb, k, params)
+    P = _grid_side(f, k)
+    cond = encode_condition(f, k, params)
     acts = {}
     for stage in STAGES:
         filtered = band_pass_filter(cond, stage) if band_pass else cond
         acts[stage] = stage_params(filtered)
-    grid = ad.Tensor(np.broadcast_to(build_coordinate_grid(P), (B, P, P, 2)).copy())
-    logits = run_field_net(grid, params.field, acts)
-    probs_t = ad.reshape(ad.sigmoid(logits), (B, P, P))
-    return finish_mask(probs_t, mode)
+    return _field_mask(f.shape[0], P, params.field, acts, mode)
 
 
 def plain_field_parse(f, k, params, mode="hard"):
     """Unconditioned field baseline: fixed sin(x) activations (a = w = 1);
-    the feature map only sets the batch size and grid side."""
-    fb, P = _check_square(f, k)
-    B = fb.shape[0]
+    the map sets only the batch size and grid side; reads only `params.field`."""
     one = ad.Tensor(np.ones((1, 1, 1, 1)))
     acts = {stage: (one, one) for stage in STAGES}
-    grid = ad.Tensor(np.broadcast_to(build_coordinate_grid(P), (B, P, P, 2)).copy())
-    logits = run_field_net(grid, params.field, acts)
-    probs_t = ad.reshape(ad.sigmoid(logits), (B, P, P))
-    return finish_mask(probs_t, mode)
+    return _field_mask(f.shape[0], _grid_side(f, k), params.field, acts, mode)
 
 
 def spatial_attention_parse(f, k, params, mode="hard"):
     """Spatial-attention baseline: per-patch channel mean and max, 1x1 conv,
     sigmoid; same thresholding rules as the main parser."""
-    fb, P = _check_square(f, k)
-    B = fb.shape[0]
-    pooled = ad.patch_avg_pool(fb, k)                      # (B, P, P, C)
+    B, P = f.shape[0], _grid_side(f, k)
+    pooled = ad.patch_avg_pool(f, k)                       # (B, P, P, C)
     ch_mean = ad.reduce_mean(pooled, axis=-1, keepdims=True)
     ch_max = ad.reshape(ad.reduce_max(pooled, axis=-1), (B, P, P, 1))
     feats = ad.concat([ch_mean, ch_max], axis=-1)

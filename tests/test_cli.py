@@ -37,6 +37,12 @@ def run_train(ws, out_name, extra=()):
     return rc, out
 
 
+def relabel_third(index_lines, label):
+    """index.csv lines with the third sample's label replaced."""
+    fields = index_lines[2].split(",")
+    return index_lines[:2] + [",".join([fields[0], label, *fields[2:]])] + index_lines[3:]
+
+
 class TestTrainCommand:
     def test_successful_run_writes_log_and_checkpoint(self, workspace):
         rc, out = run_train(workspace, "run")
@@ -90,10 +96,14 @@ class TestTrainCommand:
         assert len(manifest["config_hash"]) == 40
         assert manifest["seed"] == 5
 
-    def test_git_blob_hash_convention(self):
-        # sha1 of "blob 12\0hello world\n" has a well-known value
+    def test_git_blob_hash_convention(self, tmp_path):
+        # sha1 of "blob 12\0hello world\n" has a well-known value; a file
+        # hashed in chunks gives the same digest
         assert cli.git_blob_hash("hello world\n") == \
             "3b18e512dba79e4c8300dd08aeb37f8e728b8dad"
+        path = tmp_path / "hello.txt"
+        path.write_bytes(b"hello world\n")
+        assert cli.git_file_hash(path) == "3b18e512dba79e4c8300dd08aeb37f8e728b8dad"
 
 
 class TestEvalAndExplain:
@@ -197,6 +207,46 @@ class TestMalformedInputs:
                        "--data", data_dir, "--out", str(tmp_path / "ev"), "--quiet"])
         assert rc == 2
         assert "img_00002.ppm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,rewrite,where", [
+        ("index.csv", lambda lines: relabel_third(lines, "-1"),
+         "index.csv:3: label -1 outside [0, 4)"),
+        ("index.csv", lambda lines: relabel_third(lines, "9"),
+         "index.csv:3: label 9 outside [0, 4)"),
+        ("index.csv", lambda lines: [], "index.csv: no samples"),
+        ("meta.csv", lambda lines: [l.replace("num_classes,4", "num_classes,four")
+                                    for l in lines],
+         "meta.csv:2: num_classes 'four' is not an integer")],
+        ids=["negative_label", "label_past_num_classes", "empty_index", "non_integer_classes"])
+    def test_train_malformed_dataset_exit_2(self, workspace, capsys, name, rewrite, where):
+        tmp_path, model_cfg, train_cfg, data_dir = workspace
+        path = os.path.join(data_dir, name)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in rewrite(lines)))
+        rc = cli.main(["train", "--config", model_cfg, "--train-config", train_cfg,
+                       "--data", data_dir, "--out", str(tmp_path / "bad"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error:") and where in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["train", "--data", "{data}:abc"], "weight 'abc' is not a number"),
+        (["flops", "--pairs", "S"], "--pairs item 'S'"),
+        (["scale-sweep", "--data", "{data}", "--pairs", "S/x"], "--pairs item 'S/x'")],
+        ids=["train_data_weight", "flops_pairs", "scale_sweep_pairs"])
+    def test_malformed_argument_exit_1(self, workspace, capsys, argv, message):
+        tmp_path, model_cfg, train_cfg, data_dir = workspace
+        argv = [a.format(data=data_dir) for a in argv]
+        if argv[0] != "flops":
+            argv += ["--out", str(tmp_path / "bad"), "--quiet"]
+        if argv[0] == "train":
+            argv += ["--config", model_cfg, "--train-config", train_cfg]
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("configuration error:") and message in err
 
 
 class TestGenData:

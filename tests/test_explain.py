@@ -257,13 +257,14 @@ class TestModelExtraction:
         model = M.ProNextModel(cfg, seed=0)
         rng = np.random.default_rng(3)
         images = rng.random((3, 32, 32, 3)).astype(np.float32)
-        results, scores = explain.localize_batch(model, images, stage=1)
-        assert len(results) == 3 and scores.shape == (3, 4)
+        pred = explain.predict(model, images)
+        results = explain.localize_batch(pred, cfg, stage=1)
+        assert len(results) == 3 and pred.logits.shape == (3, 4)
         for r in results:
             assert r.score_map.shape == (32, 32)
             x0, y0, x1, y1 = r.bbox
             assert 0 <= x0 < x1 <= 32 and 0 <= y0 < y1 <= 32
-        outer, inner = explain.segment_structures(model, images)
+        outer, inner = explain.segment_structures(pred, cfg)
         assert outer.shape == (3, 32, 32) and inner.shape == (3, 32, 32)
         assert not (inner & ~outer).any()           # containment enforced
 
@@ -272,8 +273,8 @@ class TestModelExtraction:
                             embed_dim=16, ca_layers=1, ca_heads=2).validate()
         model = M.ProNextModel(cfg, seed=1)
         images = np.random.default_rng(4).random((2, 32, 32, 3)).astype(np.float32)
-        a, _ = explain.localize_batch(model, images)
-        b, _ = explain.localize_batch(model, images)
+        a = explain.localize_batch(explain.predict(model, images), cfg)
+        b = explain.localize_batch(explain.predict(model, images), cfg)
         for ra, rb in zip(a, b):
             assert ra.bbox == rb.bbox
             assert ra.score_map.tobytes() == rb.score_map.tobytes()

@@ -9,6 +9,7 @@ import pytest
 from pronext import autodiff as ad
 from pronext import model as M
 from pronext.errors import ConfigError, DimensionError
+from pronext.experiments import ABLATION_ROWS
 
 
 def desk_config(**overrides):
@@ -262,13 +263,21 @@ class TestLossAndGrads:
             for name in names:
                 assert np.abs(grads[name]).max() > 0, f"{group}:{name} has zero gradient"
 
-    @pytest.mark.parametrize("mode", ["hard", "soft"])
-    def test_every_parameter_moves_the_loss(self, mode):
+    # the desk default is the `band_pass` row; every ladder row runs in soft
+    # mode, and hard mode on the default only: a 2x2 stage-2 grid with three
+    # focal patches leaves one key, whose attention has no query gradient
+    @pytest.mark.parametrize("mode, row", [
+        pytest.param("hard", "band_pass", id="hard"),
+        pytest.param("soft", "band_pass", id="soft"),
+        *[pytest.param("soft", row, id=f"soft-{row}")
+          for row, _ in ABLATION_ROWS if row != "band_pass"]])
+    def test_every_parameter_moves_the_loss(self, mode, row):
         # in float64 a parameter the output cannot depend on (a bias in front
-        # of block_norm, an attention key bias) shows a roundoff gradient many
-        # orders below the rest
+        # of block_norm, an attention key bias, a weight the row's forward
+        # never reads) shows a roundoff or zero gradient many orders below
+        # the rest
         with ad.precision("float64"):
-            cfg = desk_config()
+            cfg = desk_config(**dict(ABLATION_ROWS)[row])
             model = M.ProNextModel(cfg, seed=0)
             model.mlp_w2.data = np.random.default_rng(8).standard_normal(model.mlp_w2.shape) * 0.2
             target = np.zeros((2, 4))

@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from pronext import data
 from pronext import model as M
 from pronext import train as T
 from pronext.errors import ConfigError, DataError, DimensionError, InputError, NumericError
+from pronext.experiments import ABLATION_ROWS
 
 
 def tiny_model(seed=0, **overrides):
@@ -287,6 +289,32 @@ class TestCheckpointCompatibility:
             "stem.block0.b", "stem.block1.b", "stage0.post.b", "stage1.post.b",
             "stage2.post.b", "stage0.gaze.ca_layers0.attn.bk",
             "stage1.gaze.ca_layers0.attn.bk", "stage2.gaze.ca_layers0.attn.bk"}
+
+        # rows that once built weights their forward never reads: the context
+        # weights without a Context Impression, the plain field's condition
+        # conv. A shift model with context stands in for the older records.
+        layer = ("ln_q_g", "ln_q_b", "ln_kv_g", "ln_kv_b", "attn.wq", "attn.wk",
+                 "attn.wv", "attn.wo", "attn.bq", "attn.bv", "attn.bo", "ln_f_g",
+                 "ln_f_b", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2")
+        context = ("token_w", "token_b", "pe_w", "pe_b", "out_ln_g", "out_ln_b",
+                   *(f"ca_layers0.{name}" for name in layer))
+        cfg = M.ModelConfig(input_size=16, stem_channels=2, patch_size=2, embed_dim=4,
+                            ca_layers=1, ca_heads=2)
+        full = M.ProNextModel(cfg, seed=8).params
+        x = np.random.default_rng(3).random((2, 16, 16, 3)).astype(np.float32)
+        for row, part, names in (("baseline", "gaze", context),
+                                 ("separation_sa", "gaze", context),
+                                 ("plain_field", "parser", ("cond_w", "cond_b"))):
+            row_cfg = replace(cfg, **dict(ABLATION_ROWS)[row]).validate()
+            model = M.ProNextModel(row_cfg, seed=8)
+            model.mlp_w2.data[:] = 0.5
+            older = {name: t.data for name, t in full.items() if f".{part}." in name}
+            older.update({name: t.data.copy() for name, t in model.params.items()})
+            loaded = M.ProNextModel.from_state(row_cfg, older)
+            assert older.keys() - loaded.params.keys() == {
+                f"stage{l}.{part}.{name}" for l in range(M.NUM_STAGES) for name in names}
+            assert (loaded.forward(x).logits.data.tobytes()
+                    == model.forward(x).logits.data.tobytes())
 
     def test_resume_takes_the_loaded_moments_in_place(self):
         arrays = ckpt.load_arrays(FIXTURE)
