@@ -465,18 +465,29 @@ def reduce_max(a, axis):
 
 
 def matmul(a, b):
+    if b.ndim == 2:
+        # a shared weight (every token linear): forward, input gradient and
+        # weight gradient are each one GEMM over the rows of a, not a stack
+        # of per-batch GEMMs
+        a2 = a.data.reshape(-1, a.shape[-1])
+        data = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
+
+        def backward(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                _accum(a, (g2 @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                _accum(b, a2.T @ g2)
+
+        return _make(data, (a, b), backward, "matmul")
+
     data = a.data @ b.data
 
     def backward(g):
         if a.requires_grad:
             _accum(a, _sum_to(g @ np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad:
-            if b.ndim == 2:
-                # a shared weight: one GEMM over every leading axis of a
-                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = _sum_to(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-            _accum(b, gb)
+            _accum(b, _sum_to(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _make(data, (a, b), backward, "matmul")
 

@@ -75,22 +75,24 @@ def grad_check(fn, inputs, eps=1e-5, tol=1e-4, max_elems=48, rng=None,
 
     report = GradCheckReport(max_rel_err=0.0, tol=tol, n_checked=0, passed=True)
     for i, t in enumerate(inputs):
-        flat = t.data.reshape(-1)
-        n = flat.size
+        n = t.data.size
         coords = np.arange(n) if n <= max_elems else rng.choice(n, size=max_elems, replace=False)
         for c in coords:
+            # index by coordinate: reshape(-1) of a non-contiguous input is a
+            # copy, and a perturbation written there would never be seen
+            coord = np.unravel_index(c, t.shape) if t.ndim else ()
+
             def central_diff(step):
-                orig = flat[c]
-                flat[c] = orig + step
+                orig = t.data[coord]
+                t.data[coord] = orig + step
                 f_plus = scalar_eval()
-                flat[c] = orig - step
+                t.data[coord] = orig - step
                 f_minus = scalar_eval()
-                flat[c] = orig
+                t.data[coord] = orig
                 return (f_plus - f_minus) / (2 * step)
 
             numeric = central_diff(eps)
-            ana = float(analytic[i].reshape(-1)[c])
-            coord = np.unravel_index(c, t.shape) if t.ndim else ()
+            ana = float(analytic[i][coord])
             if not (np.isfinite(numeric) and np.isfinite(ana)):
                 report.failures.append(GradCheckFailure(i, coord, ana, numeric, "non-finite"))
                 report.passed = False

@@ -608,6 +608,52 @@ class TestGradCheck:
             rep = grad_check(lambda ts: ad.matmul(ts[0], ts[1]), [a, b], tol=1e-6, rng=rng)
         assert rep.passed, str(rep)
 
+    def test_matmul_4d_input_shared_weight(self):
+        rng = np.random.default_rng(29)
+        with ad.precision("float64"):
+            a = ad.Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
+            b = ad.Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+            rep = grad_check(lambda ts: ad.matmul(ts[0], ts[1]), [a, b], tol=1e-6, rng=rng)
+        assert rep.passed, str(rep)
+
+    def test_matmul_transposed_input_shared_weight(self):
+        # a non-contiguous view as the input: the row-flattening must copy,
+        # not reinterpret its memory
+        rng = np.random.default_rng(30)
+        with ad.precision("float64"):
+            a = ad.Tensor(rng.standard_normal((4, 3, 5)).transpose(1, 0, 2), requires_grad=True)
+            b = ad.Tensor(rng.standard_normal((5, 6)), requires_grad=True)
+            assert not a.data.flags.c_contiguous
+            out = ad.matmul(a, b)
+            np.testing.assert_allclose(out.data, np.einsum("ijk,kl->ijl", a.data, b.data),
+                                       rtol=1e-12)
+            rep = grad_check(lambda ts: ad.matmul(ts[0], ts[1]), [a, b], tol=1e-6, rng=rng)
+        assert rep.passed, str(rep)
+
+    def test_matmul_shared_weight_without_its_gradient(self):
+        rng = np.random.default_rng(31)
+        with ad.precision("float64"):
+            a = ad.Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+            b = ad.Tensor(rng.standard_normal((4, 5)))
+            g = rng.standard_normal((2, 3, 5))
+            out = ad.matmul(a, b)
+            out.backward(g)
+        assert b.grad is None
+        np.testing.assert_allclose(a.grad, np.einsum("ijl,kl->ijk", g, b.data), rtol=1e-12)
+
+    def test_matmul_shared_weight_float32_matches_per_sample_products(self):
+        # one GEMM over every row may sum in another order than a GEMM per
+        # sample; the difference is float32 roundoff, a few units in the last
+        # place of the largest entry (7.7e-7 of it with OpenBLAS on one
+        # thread), bounded here with room for other BLAS kernels
+        rng = np.random.default_rng(32)
+        a = rng.standard_normal((8, 4, 512)).astype(np.float32)
+        b = rng.standard_normal((512, 96)).astype(np.float32)
+        out = ad.matmul(ad.Tensor(a), ad.Tensor(b)).data
+        ref = np.stack([a[i] @ b for i in range(len(a))])
+        share = float(np.abs(out - ref).max() / np.abs(ref).max())
+        assert out.dtype == np.float32 and share <= 1e-5, f"difference {share:.2e} of the largest"
+
     def test_requires_float64(self):
         x = ad.Tensor(np.zeros((2, 2)), requires_grad=True)  # float32 default
         with pytest.raises(InputError):

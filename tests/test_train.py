@@ -140,6 +140,72 @@ class TestAdamW:
         with pytest.raises(NumericError, match="'p'"):
             opt.step(params, {"p": np.array([np.nan])}, tiny_train_cfg())
 
+    def test_non_finite_gradient_moves_nothing(self):
+        rng = np.random.default_rng(3)
+        params = {n: ad.Tensor(rng.standard_normal(5), requires_grad=True) for n in "abc"}
+        opt = T.AdamW(params.keys())
+        cfg = tiny_train_cfg(weight_decay=0.05)
+        opt.step(params, {n: rng.standard_normal(5).astype(np.float32) for n in params}, cfg)
+        before = ({n: t.data.copy() for n, t in params.items()},
+                  {n: m.copy() for n, m in opt.m.items()},
+                  {n: v.copy() for n, v in opt.v.items()})
+        grads = {n: rng.standard_normal(5).astype(np.float32) for n in params}
+        grads["c"][2] = np.inf  # the last tensor: a and b come first
+        with pytest.raises(NumericError, match="'c'"):
+            opt.step(params, grads, cfg)
+        assert opt.t == 1
+        for saved, now in zip(before, ({n: t.data for n, t in params.items()}, opt.m, opt.v)):
+            assert all(saved[n].tobytes() == now[n].tobytes() for n in params)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [1, T.ADAM_BLOCK - 1, T.ADAM_BLOCK, 2 * T.ADAM_BLOCK + 7,
+                                      (3, T.ADAM_BLOCK // 2 + 1)])
+    def test_blocked_update_is_bit_equal_to_the_unblocked_formula(self, dtype, size):
+        rng = np.random.default_rng(np.prod(size))
+        p0 = rng.standard_normal(size).astype(dtype)
+        params = {"p": ad.Tensor(p0.copy(), requires_grad=True, dtype=dtype)}
+        opt = T.AdamW(params.keys())
+        cfg = tiny_train_cfg(lr=3e-3, weight_decay=0.05)
+        p, m, v = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
+        for t in range(1, 4):
+            g = (rng.standard_normal(size) * 10.0 ** -t).astype(dtype)
+            opt.step(params, {"p": g}, cfg)
+            p, m, v = adamw_reference(p, m, v, g, t, cfg)
+        assert params["p"].data.tobytes() == p.tobytes()
+        assert opt.m["p"].tobytes() == m.tobytes() and opt.v["p"].tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("layout", ["transposed", "read-only"])
+    def test_parameter_that_is_not_a_writeable_c_array_is_updated(self, layout):
+        base = np.random.default_rng(4).standard_normal((3, 5)).astype(np.float32)
+        arr = base.T if layout == "transposed" else base.copy()
+        arr.flags.writeable = layout != "read-only"
+        params = {"p": ad.Tensor(arr, requires_grad=True)}
+        g = np.full(arr.shape, 0.5, dtype=np.float32)
+        cfg = tiny_train_cfg(lr=1e-2, weight_decay=0.05)
+        opt = T.AdamW(params.keys())
+        opt.step(params, {"p": g}, cfg)
+        z = np.zeros(arr.shape, dtype=np.float32)
+        expected = adamw_reference(np.array(arr), z, z, g, 1, cfg)[0]
+        assert params["p"].data.tobytes() == expected.tobytes()
+        assert params["p"].data.flags.c_contiguous and params["p"].data.flags.writeable
+        kept = params["p"].data
+        opt.step(params, {"p": g}, cfg)
+        assert params["p"].data is kept
+
+
+def adamw_reference(p, m, v, g, t, cfg):
+    """One unblocked AdamW update with fresh arrays: the formula the
+    optimizer's blocked in-place update must reproduce bit for bit."""
+    b1, b2 = cfg.beta1, cfg.beta2
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    m = m * b1
+    m = m + (1 - b1) * g
+    v = v * b2
+    v = v + (1 - b2) * (g * g)
+    update = (m / bc1) / (np.sqrt(v / bc2) + T.ADAM_EPS)
+    return p - cfg.lr * update - cfg.lr * cfg.weight_decay * p, m, v
+
 
 class TestTrainingLoop:
     def test_step0_loss_is_log_num_classes(self):
@@ -147,6 +213,16 @@ class TestTrainingLoop:
         trainer = T.Trainer(model, tiny_train_cfg(steps=1), [(tiny_dataset(), 1.0)])
         row = trainer.train_step()
         assert abs(row.loss - math.log(4)) < 1e-6
+
+    def test_train_step_updates_parameters_in_place(self):
+        model = tiny_model()
+        trainer = T.Trainer(model, tiny_train_cfg(), [(tiny_dataset(), 1.0)])
+        arrays = {n: t.data for n, t in model.params.items()}
+        w0 = model.stem[0].w.data.copy()
+        for _ in range(2):
+            trainer.train_step()
+            assert all(t.data is arrays[n] for n, t in model.params.items())
+        assert model.stem[0].w.data.tobytes() != w0.tobytes()
 
     def test_log_format_six_decimals(self):
         row = T.TrainLogRow(step=3, loss=1.23456789, acc=0.5)
