@@ -3,10 +3,12 @@
 A Tensor wraps one ndarray; the functions below are the only way to build
 on it (there are no operator overloads) and each records an implicit graph
 of backward closures. The kernel set is exactly what the recognition model
-needs: convolution, pooling, bilinear sampling (for deformable
-convolution), scaled dot-product cross attention, normalization, and the
-pointwise glue the model uses. Training runs in float32; gradient checking
-switches the default dtype to float64 via the `precision` context manager.
+needs: convolution, non-overlapping max and mean pooling, bilinear sampling
+(for deformable convolution), scaled dot-product cross attention, one
+normalization kernel (`layer_norm` over the last axis, `block_norm` over
+H and W), and the pointwise glue the model uses. Training runs in float32;
+gradient checking switches the default dtype to float64 via the `precision`
+context manager.
 
 All image-like tensors are channels-last. Spatial kernels accept either a
 single sample (H, W, C) or a batch (B, H, W, C); single samples are promoted
@@ -411,39 +413,28 @@ def upsample_nearest2d(a, k):
 # ---------------------------------------------------------------------------
 
 
-def _norm_axes(axis, ndim):
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(ax % ndim for ax in axis)
+def _broadcast_back(a, axis, keepdims, count=1):
+    """Backward of a sum-type reduction of `a`: g / count spread over the
+    reduced axes."""
+    def backward(g):
+        if count != 1:
+            g = g / count
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g, a.shape).astype(a.dtype, copy=True))
+
+    return backward
 
 
 def reduce_sum(a, axis=None, keepdims=False):
     data = np.asarray(a.data.sum(axis=axis, keepdims=keepdims))
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape).astype(a.dtype, copy=True))
-
-    return _make(data, (a,), backward, "sum")
+    return _make(data, (a,), _broadcast_back(a, axis, keepdims), "sum")
 
 
 def reduce_mean(a, axis=None, keepdims=False):
     data = np.asarray(a.data.mean(axis=axis, keepdims=keepdims))
-    if axis is None:
-        count = a.size
-    else:
-        count = 1
-        for ax in _norm_axes(axis, a.ndim):
-            count *= a.shape[ax]
-
-    def backward(g):
-        g = g / count
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape).astype(a.dtype, copy=True))
-
-    return _make(data, (a,), backward, "mean")
+    count = a.size if axis is None else math.prod(a.shape[ax] for ax in np.atleast_1d(axis))
+    return _make(data, (a,), _broadcast_back(a, axis, keepdims, count), "mean")
 
 
 def reduce_max(a, axis):
@@ -505,24 +496,29 @@ def linear(x, w, b=None):
 # ---------------------------------------------------------------------------
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalize the last axis; per-feature scale and shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+def _normalize(x, gamma, beta, axes, eps, op):
+    """Standardize x over `axes`, then scale and shift per channel."""
+    mu = x.data.mean(axis=axes, keepdims=True)
+    xc = x.data - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=axes, keepdims=True) + eps)
+    xhat = xc * inv
     data = xhat * gamma.data + beta.data
-    D = x.shape[-1]
+    n = math.prod(x.shape[ax] for ax in axes)
 
     def backward(g):
         gy = g * gamma.data
         _accum(gamma, _sum_to(g * xhat, gamma.shape))
         _accum(beta, _sum_to(g, beta.shape))
-        gsum = gy.sum(axis=-1, keepdims=True)
-        gxhat = (gy * xhat).sum(axis=-1, keepdims=True)
-        _accum(x, inv / D * (D * gy - gsum - xhat * gxhat))
+        gsum = gy.sum(axis=axes, keepdims=True)
+        gxhat = (gy * xhat).sum(axis=axes, keepdims=True)
+        _accum(x, inv / n * (n * gy - gsum - xhat * gxhat))
 
-    return _make(data, (x, gamma, beta), backward, "layer_norm")
+    return _make(data, (x, gamma, beta), backward, op)
+
+
+def layer_norm(x, gamma, beta, eps=1e-5):
+    """Normalize the last axis; per-feature scale and shift."""
+    return _normalize(x, gamma, beta, (-1,), eps, "layer_norm")
 
 
 def block_norm(x, gamma, beta, eps=1e-5):
@@ -531,22 +527,7 @@ def block_norm(x, gamma, beta, eps=1e-5):
     x: (B, H, W, C); gamma, beta: (C,). Each sample's channel is standardized
     over its own spatial extent, so train and eval behave identically.
     """
-    mu = x.data.mean(axis=(1, 2), keepdims=True)
-    var = x.data.var(axis=(1, 2), keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    data = xhat * gamma.data + beta.data
-    M = x.shape[1] * x.shape[2]
-
-    def backward(g):
-        gy = g * gamma.data
-        _accum(gamma, _sum_to(g * xhat, gamma.shape))
-        _accum(beta, _sum_to(g, beta.shape))
-        gsum = gy.sum(axis=(1, 2), keepdims=True)
-        gxhat = (gy * xhat).sum(axis=(1, 2), keepdims=True)
-        _accum(x, inv / M * (M * gy - gsum - xhat * gxhat))
-
-    return _make(data, (x, gamma, beta), backward, "block_norm")
+    return _normalize(x, gamma, beta, (1, 2), eps, "block_norm")
 
 
 def softmax_weighted(x, weights):
@@ -708,49 +689,34 @@ def depthwise_conv2d(x, w, b=None):
     return reshape(res, res.shape[1:]) if squeeze else res
 
 
-_POOL_INDEX_CACHE = {}
-
-
-def _pool_base_indices(B, H, W, C, Ho, Wo, stride):
-    """Flat index of each window's top-left cell, shape (B, Ho, Wo, C); cached
-    because it only depends on the pooling geometry."""
-    key = (B, H, W, C, Ho, Wo, stride)
-    cached = _POOL_INDEX_CACHE.get(key)
-    if cached is None:
-        ii = np.arange(Ho)[None, :, None, None] * stride
-        jj = np.arange(Wo)[None, None, :, None] * stride
-        bb = np.arange(B)[:, None, None, None]
-        cc = np.arange(C)[None, None, None, :]
-        cached = ((bb * H + ii) * W + jj) * C + cc
-        _POOL_INDEX_CACHE[key] = cached
-    return cached
-
-
 def max_pool2d(x, window, stride):
-    """Per-window channelwise max; gradient goes to the first argmax per window."""
+    """Channelwise max over non-overlapping window x window cells.
+
+    Only stride == window is supported. The gradient of each cell goes to
+    its first (row-major) tap equal to the max.
+    """
     xb, squeeze = _as_batched(x)
     B, H, W, C = xb.shape
-    if window > H or window > W:
-        raise DimensionError("max_pool2d: window larger than input")
-    if (H - window) % stride or (W - window) % stride:
-        raise DimensionError("max_pool2d: input extent not divisible by stride")
-    Ho = (H - window) // stride + 1
-    Wo = (W - window) // stride + 1
-    cols = _im2col(xb.data, window, window, stride, Ho, Wo)
-    flat = np.ascontiguousarray(cols).reshape(B, Ho, Wo, window * window, C)
-    idx = np.argmax(flat, axis=3)  # first occurrence on ties (row-major window order)
-    data = np.take_along_axis(flat, idx[:, :, :, None, :], axis=3).squeeze(3)
+    k = window
+    if k < 1 or stride != k:
+        raise DimensionError("max_pool2d: only non-overlapping windows (stride == window)")
+    if H % k or W % k:
+        raise DimensionError("max_pool2d: input extent not divisible by the window")
+    taps = xb.data.reshape(B, H // k, k, W // k, k, C)
+    data = taps[:, :, 0, :, 0].copy()
+    for i, j in list(np.ndindex(k, k))[1:]:
+        # the running max as the second operand keeps the earlier tap on a
+        # tie, so a tie of signed zeros keeps the first one's sign
+        np.maximum(taps[:, :, i, :, j], data, out=data)
 
     def backward(g):
-        dy, dx = np.divmod(idx, window)
-        base = _pool_base_indices(B, H, W, C, Ho, Wo, stride)
-        flat_pos = (base + (dy * W + dx) * C).reshape(-1)
-        gx = np.zeros(B * H * W * C, dtype=xb.dtype)
-        if stride >= window:
-            gx[flat_pos] = g.reshape(-1)  # windows disjoint -> positions unique
-        else:
-            np.add.at(gx, flat_pos, g.reshape(-1))
-        _accum(xb, gx.reshape(B, H, W, C))
+        hit = taps == data[:, :, None, :, None, :]
+        free = ~hit[:, :, 0, :, 0]                     # cells whose max is not yet found
+        for i, j in list(np.ndindex(k, k))[1:]:
+            first = hit[:, :, i, :, j]
+            first &= free                              # a view: clears later ties in hit
+            free ^= first
+        _accum(xb, np.where(hit, g[:, :, None, :, None, :], 0).reshape(B, H, W, C))
 
     res = _make(data, (xb,), backward, "max_pool2d")
     return reshape(res, res.shape[1:]) if squeeze else res

@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -117,15 +118,13 @@ def cmd_gen_data(args):
 def _resolve_configs(args):
     cfg = model_mod.load_config(model_mod.ModelConfig, args.config)
     if args.parser:
-        from dataclasses import replace
         cfg = replace(cfg, parser_mode=PARSER_FLAG_MAP[args.parser]).validate()
     if args.train_config:
         tcfg = model_mod.load_config(train_mod.TrainConfig, args.train_config)
     else:
         tcfg = train_mod.TrainConfig(crop=cfg.input_size, resize=cfg.input_size)
     if args.seed is not None:
-        from dataclasses import replace as rpl
-        tcfg = rpl(tcfg, seed=args.seed)
+        tcfg = replace(tcfg, seed=args.seed)
     return cfg, tcfg.validate()
 
 

@@ -186,10 +186,6 @@ def gen_detail_task(n, num_classes, rng, image_size=64):
                    masks=masks, cues=list(cues), num_classes=num_classes)
 
 
-def detail_label_rule(cue):
-    return cue["glyph"]
-
-
 # ---------------------------------------------------------------------------
 # structure task
 # ---------------------------------------------------------------------------
@@ -231,10 +227,6 @@ def gen_structure_task(n, num_classes, rng, image_size=64):
                    labels=np.array(labels, dtype=np.int64),
                    boxes=np.stack([_bbox_of(m) for m in discs]),
                    masks=discs, masks2=np.stack(cups), cues=list(cues), num_classes=2)
-
-
-def structure_label_rule(cue):
-    return int(cue["ratio_milli"] / 1000.0 > VERTICAL_RATIO_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +293,6 @@ def gen_interaction_task(n, num_classes, rng, image_size=64):
                    masks=masks, cues=list(cues), num_classes=4)
 
 
-def interaction_label_rule(cue):
-    return 2 * cue["texture"] + cue["palette"]
-
-
 def generate(task, n, rng, image_size=64, num_classes=None):
     if task == "detail":
         return gen_detail_task(n, num_classes or 8, rng, image_size)
@@ -313,33 +301,6 @@ def generate(task, n, rng, image_size=64, num_classes=None):
     if task == "interaction":
         return gen_interaction_task(n, 4, rng, image_size)
     raise ConfigError(f"unknown task '{task}'; choose from {TASKS}")
-
-
-# ---------------------------------------------------------------------------
-# negative controls
-# ---------------------------------------------------------------------------
-
-
-def channel_mean_classifier(train_ds, test_ds):
-    """Nearest-centroid on per-image channel means: no spatial detail at all."""
-    feats = train_ds.images.mean(axis=(1, 2))
-    centroids = np.stack([feats[train_ds.labels == c].mean(axis=0)
-                          for c in range(train_ds.num_classes)])
-    test_feats = test_ds.images.mean(axis=(1, 2))
-    d = ((test_feats[:, None, :] - centroids[None]) ** 2).sum(axis=2)
-    return float(np.mean(np.argmin(d, axis=1) == test_ds.labels))
-
-
-def factor_ceiling(ds, factor_key):
-    """Best possible accuracy for a classifier that observes one generative
-    factor perfectly and nothing else (computed from the joint cue table)."""
-    values = sorted({cue[factor_key] for cue in ds.cues})
-    total = 0
-    for v in values:
-        idx = [i for i, cue in enumerate(ds.cues) if cue[factor_key] == v]
-        counts = np.bincount(ds.labels[idx], minlength=ds.num_classes)
-        total += counts.max()
-    return total / len(ds)
 
 
 # ---------------------------------------------------------------------------

@@ -76,10 +76,6 @@ class GazeStageParams:
 
 def focal_abstract(masked_map, params):
     """2-stride max pooling then channel-doubling deformable convolution."""
-    H = masked_map.shape[-3]
-    W = masked_map.shape[-2]
-    if H % 2 or W % 2:
-        raise DimensionError("focal_abstract needs even spatial dims")
     pooled = ad.max_pool2d(masked_map, window=2, stride=2)
     return ad.deformable_conv2d(pooled, params.deform_w, params.deform_b,
                                 params.offset_w, params.offset_b)
@@ -151,25 +147,19 @@ def context_impression_batched(f, k, mask, params):
 
     if mask.soft:
         m_flat = ad.reshape(mask.mask, (B, P * P))
-        ctx_w = ad.sub(ad.Tensor(np.ones((B, P * P), dtype=x.dtype)), m_flat)
-        h = x
-        for layer in params.ca_layers:
-            h = _ca_block(h, x, layer, params.heads, key_weights=ctx_w)
-        h = ad.layer_norm(h, params.out_ln_g, params.out_ln_b)
+        h = kv = x
+        key_w = ad.sub(ad.Tensor(np.ones((B, P * P), dtype=x.dtype)), m_flat)
         qw = ad.reshape(m_flat, (B, P * P, 1))
-        return ad.div(ad.reduce_sum(ad.mul(h, qw), axis=1),
-                      ad.reduce_sum(qw, axis=1))
-
-    idx_f, valid_f = _padded_group_indices(mask.binary, 1.0)
-    idx_c, valid_c = _padded_group_indices(mask.binary, 0.0)
-    h = ad.gather_tokens(x, idx_f)                               # (B, Tf, D)
-    kv = ad.gather_tokens(x, idx_c)                              # (B, Tc, D)
+    else:
+        idx_f, valid_f = _padded_group_indices(mask.binary, 1.0)
+        idx_c, key_w = _padded_group_indices(mask.binary, 0.0)
+        h = ad.gather_tokens(x, idx_f)                           # (B, Tf, D)
+        kv = ad.gather_tokens(x, idx_c)                          # (B, Tc, D)
+        qw = ad.Tensor(valid_f[:, :, None])
     for layer in params.ca_layers:
-        h = _ca_block(h, kv, layer, params.heads, key_weights=valid_c)
+        h = _ca_block(h, kv, layer, params.heads, key_weights=key_w)
     h = ad.layer_norm(h, params.out_ln_g, params.out_ln_b)
-    qw = ad.Tensor(valid_f[:, :, None])
-    return ad.div(ad.reduce_sum(ad.mul(h, qw), axis=1),
-                  ad.Tensor(valid_f.sum(axis=1, keepdims=True)))
+    return ad.div(ad.reduce_sum(ad.mul(h, qw), axis=1), ad.reduce_sum(qw, axis=1))
 
 
 def gaze_shift(f, k, parser_mode, parser_params, stage_params, mode="hard",

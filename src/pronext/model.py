@@ -170,11 +170,6 @@ def load_config(cls, path):
     return parse_config(cls, text, path)
 
 
-def save_config(cfg, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config_text(cfg))
-
-
 # ---------------------------------------------------------------------------
 # model
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Minimal netpbm readers/writers: plain PGM (P2), binary PGM (P5), binary PPM (P6).
+"""Minimal netpbm I/O: binary PGM (P5) and PPM (P6) read and write, plain PGM
+(P2) write only.
 
 Covers exactly the formats the dataset layout and mask/score exports use.
-All binary images are 8-bit (maxval 255) except plain-text P2 masks, which
-use maxval 1.
+All binary images are 8-bit (maxval 255); the plain-text P2 mask exports use
+maxval 1, and no command reads them back.
 """
 
 from __future__ import annotations
@@ -39,29 +40,6 @@ def _dims(fields, path):
     if w < 0 or h < 0 or maxval < 1:
         raise DataError(f"{path}: bad header {w} x {h}, maxval {maxval}")
     return w, h, maxval
-
-
-def read_pgm_p2(path):
-    # non-ASCII bytes decode to U+FFFD, which then fails `_ints`
-    with open(path, encoding="ascii", errors="replace") as fh:
-        tokens = []
-        for line in fh:
-            line = line.split("#", 1)[0]
-            tokens.extend(line.split())
-    if not tokens or tokens[0] != "P2":
-        raise DataError(f"{path}: not a plain PGM (P2) file")
-    if len(tokens) < 4:
-        raise DataError(f"{path}: truncated header")
-    w, h, maxval = _dims(tokens[1:4], path)
-    try:
-        vals = np.array(_ints(tokens[4:], path), dtype=np.int64)
-    except OverflowError:
-        raise DataError(f"{path}: pixel value out of range") from None
-    if vals.size != w * h:
-        raise DataError(f"{path}: expected {w * h} pixels, found {vals.size}")
-    if vals.min(initial=0) < 0 or vals.max(initial=0) > maxval:
-        raise DataError(f"{path}: pixel outside [0, maxval]")
-    return vals.reshape(h, w)
 
 
 def _read_header(fh, magic, path):

@@ -21,6 +21,7 @@ patch (or demotes the bottom-1), ties resolved by row-major index.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -338,8 +339,6 @@ def init_sa_parser(rng, dtype=None):
 
 def export_stage_masks(binaries, out_dir):
     """Write one plain-text PGM (maxval 1) per stage: mask_stage{l}.pgm."""
-    import os
-
     paths = []
     for l, mask in enumerate(binaries, start=1):
         path = os.path.join(out_dir, f"mask_stage{l}.pgm")

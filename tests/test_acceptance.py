@@ -1,14 +1,18 @@
 """Acceptance suite.
 
-One test per acceptance criterion, each printing a PASS line with its
-headline numbers when it succeeds. Criteria 5-7 train models and are marked
-slow; run `pytest -m "not slow"` to skip them during development and
-`pytest tests/test_acceptance.py -s` to watch the full suite.
+One test per implemented acceptance criterion (1, 2, 3, 4 and 8), each
+printing a PASS line with its headline numbers when it succeeds. Criteria
+5-7 (the ablation ladder, the scale sweep and explainability against
+baselines) have no test yet. The slow tests are criterion 1 (the float64
+gradient suite, budgeted at 300 s) and criterion 4 (training sanity); run
+`pytest -m "not slow"` to skip them during development and
+`pytest tests/test_acceptance.py -s` to watch the whole file. On a shared
+2-vCPU VM with one BLAS thread the file runs in about 13 s, of which
+criterion 1 takes 8 s and criterion 4 takes 2 s.
 
 All expected values are either trivially forced (log K losses, floor
 counts), computed by independent oracles (finite differences, closed-form
-attention, counting), or desk-scale thresholds frozen after the first
-verified build (criteria 5-7 budgets and floors).
+attention, counting), or the gradient suite's time budget.
 """
 
 import math

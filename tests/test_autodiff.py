@@ -171,20 +171,27 @@ class TestMaxPool:
         np.testing.assert_array_equal(out.data[:, :, 0], [[5, 7], [13, 15]])
 
     def test_gradient_hits_argmax_only(self):
+        # batched float32 with three distinct values, so most windows hold a
+        # tied max; the oracle is numpy's first argmax per window
         rng = np.random.default_rng(4)
-        # deterministic distinct values so argmax positions are unambiguous
-        vals = rng.permutation(36).astype(np.float64).reshape(6, 6, 1)
-        with ad.precision("float64"):
-            x = ad.Tensor(vals, requires_grad=True)
-            out = ad.max_pool2d(x, window=2, stride=2)
-            ad.reduce_sum(out).backward()
-        expected = np.zeros_like(vals)
-        for i in range(3):
-            for j in range(3):
-                win = vals[2 * i:2 * i + 2, 2 * j:2 * j + 2, 0]
-                a, b = np.unravel_index(np.argmax(win), (2, 2))
-                expected[2 * i + a, 2 * j + b, 0] = 1.0
-        np.testing.assert_array_equal(x.grad, expected)
+        vals = rng.integers(-1, 2, size=(3, 6, 8, 5)).astype(np.float32) * 1.5
+        win = vals.reshape(3, 3, 2, 4, 2, 5).transpose(0, 1, 3, 5, 2, 4).reshape(3, 3, 4, 5, 4)
+        is_max = win == win.max(axis=-1, keepdims=True)
+        tied = is_max.sum(axis=-1) > 1
+        first = win.argmax(axis=-1)
+        assert (is_max & tied[..., None]).any(axis=(0, 1, 2, 3)).all()   # every tap ties
+        assert set(first[tied].tolist()) == {0, 1, 2}                   # and leads a tie
+        g = rng.standard_normal((3, 3, 4, 5)).astype(np.float32)
+        x = ad.Tensor(vals, requires_grad=True)
+        out = ad.max_pool2d(x, window=2, stride=2)
+        out.backward(g)
+        fwd = np.take_along_axis(win, first[..., None], axis=-1)[..., 0]
+        expected = np.zeros_like(win)
+        np.put_along_axis(expected, first[..., None], g[..., None], axis=-1)
+        expected = expected.reshape(3, 3, 4, 5, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(vals.shape)
+        assert out.data.dtype == x.grad.dtype == np.float32
+        assert out.data.tobytes() == fwd.tobytes()
+        assert x.grad.tobytes() == expected.tobytes()
 
     def test_first_occurrence_tie_break(self):
         x = ad.Tensor(np.zeros((2, 2, 1)), requires_grad=True, dtype=np.float64)
@@ -207,6 +214,11 @@ class TestMaxPool:
             ad.max_pool2d(x, window=2, stride=2)
         with pytest.raises(DimensionError):
             ad.max_pool2d(x, window=6, stride=1)
+        # overlapping or gapped windows, on extents the strides divide
+        with pytest.raises(DimensionError):
+            ad.max_pool2d(ad.Tensor(np.zeros((4, 4, 1))), window=2, stride=1)
+        with pytest.raises(DimensionError):
+            ad.max_pool2d(ad.Tensor(np.zeros((7, 7, 1))), window=3, stride=2)
 
 
 class TestPatchAvgPool:
@@ -788,6 +800,19 @@ class TestElementwiseAndNorms:
             rep = grad_check(lambda ts: ad.block_norm(ts[0], ts[1], ts[2]), [x, g, b],
                              tol=1e-5, rng=rng)
         assert rep.passed, str(rep)
+
+    @pytest.mark.parametrize("op,axes", [(ad.layer_norm, (-1,)), (ad.block_norm, (1, 2))],
+                             ids=["layer_norm", "block_norm"])
+    def test_norm_matches_numpy_oracle(self, op, axes):
+        rng = np.random.default_rng(27)
+        x = 3.0 * rng.standard_normal((2, 4, 5, 3)) + 1.0
+        g = rng.standard_normal(3)
+        b = rng.standard_normal(3)
+        with ad.precision("float64"):
+            out = op(ad.Tensor(x), ad.Tensor(g), ad.Tensor(b))
+        mu = x.mean(axis=axes, keepdims=True)
+        sd = np.sqrt(((x - mu) ** 2).mean(axis=axes, keepdims=True) + 1e-5)
+        np.testing.assert_allclose(out.data, (x - mu) / sd * g + b, rtol=1e-12, atol=1e-12)
 
     def test_softmax_weighted_matches_renormalized_softmax(self):
         rng = np.random.default_rng(26)

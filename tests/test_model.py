@@ -72,13 +72,13 @@ class TestConfigFile:
     def test_round_trip(self, tmp_path):
         cfg = desk_config(parser_mode="spatial_attention", band_pass=False)
         path = tmp_path / "model.cfg"
-        M.save_config(cfg, path)
+        path.write_text(M.config_text(cfg))
         loaded = M.load_config(M.ModelConfig, path)
         assert loaded == cfg
 
     def test_unknown_key_is_named(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        M.save_config(desk_config(), path)
+        path.write_text(M.config_text(desk_config()))
         with open(path, "a") as fh:
             fh.write("learning_rate = 0.1\n")
         with pytest.raises(ConfigError, match="learning_rate"):
@@ -86,7 +86,7 @@ class TestConfigFile:
 
     def test_missing_key_is_named(self, tmp_path):
         path = tmp_path / "partial.cfg"
-        M.save_config(desk_config(), path)
+        path.write_text(M.config_text(desk_config()))
         lines = [l for l in path.read_text().splitlines() if not l.startswith("embed_dim")]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match="embed_dim"):
@@ -94,7 +94,7 @@ class TestConfigFile:
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "dup.cfg"
-        M.save_config(desk_config(), path)
+        path.write_text(M.config_text(desk_config()))
         with open(path, "a") as fh:
             fh.write("embed_dim = 64\n")
         with pytest.raises(ConfigError, match="duplicate"):

@@ -402,9 +402,16 @@ class TestSpatialAttentionParse:
         np.testing.assert_allclose(m.probs, 1.0 / (1.0 + np.exp(-logits)), rtol=1e-10)
 
 
+def read_pgm_p2(path):
+    """Pixels of a plain PGM (P2) file as written by `netpbm.write_pgm_p2`."""
+    with open(path, encoding="ascii") as fh:
+        tokens = fh.read().split()
+    w, h = int(tokens[1]), int(tokens[2])
+    return np.array(tokens[4:], dtype=np.int64).reshape(h, w)
+
+
 class TestMaskExport:
     def test_pgm_p2_round_trip(self, tmp_path):
-        from pronext.netpbm import read_pgm_p2
         rng = np.random.default_rng(17)
         masks = [rng.integers(0, 2, size=(4, 4)) for _ in range(3)]
         paths = parsers.export_stage_masks(masks, str(tmp_path))

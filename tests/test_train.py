@@ -652,12 +652,12 @@ class TestTrainConfigFile:
     def test_round_trip(self, tmp_path):
         cfg = tiny_train_cfg(lr=5e-4, steps=123)
         path = tmp_path / "train.cfg"
-        M.save_config(cfg, path)
+        path.write_text(M.config_text(cfg))
         assert M.load_config(T.TrainConfig, path) == cfg
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "t.cfg"
-        M.save_config(tiny_train_cfg(), path)
+        path.write_text(M.config_text(tiny_train_cfg()))
         with open(path, "a") as fh:
             fh.write("momentum = 0.9\n")
         with pytest.raises(ConfigError, match="momentum"):
@@ -665,7 +665,7 @@ class TestTrainConfigFile:
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "dup.cfg"
-        M.save_config(tiny_train_cfg(), path)
+        path.write_text(M.config_text(tiny_train_cfg()))
         with open(path, "a") as fh:
             fh.write("lr = 0.1\n")
         with pytest.raises(ConfigError, match=f"{path}:12: duplicate key 'lr'"):
