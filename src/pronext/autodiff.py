@@ -344,9 +344,9 @@ def reshape(a, shape):
     return _make(data, (a,), backward, "reshape")
 
 
-def transpose(a, axes=None):
+def transpose(a, axes):
     data = np.transpose(a.data, axes)
-    inv = None if axes is None else np.argsort(axes)
+    inv = np.argsort(axes)
 
     def backward(g):
         _accum(a, np.transpose(g, inv))
@@ -598,35 +598,36 @@ def _as_batched(x):
     raise DimensionError(f"expected rank 3 or 4 image tensor, got rank {x.ndim}")
 
 
-def _im2col(xp, kh, kw, stride, Ho, Wo):
-    """View of all sliding windows, shape (B, Ho, Wo, kh, kw, C)."""
+def _im2col(xp, kh, kw, Ho, Wo):
+    """View of all stride-1 sliding windows, shape (B, Ho, Wo, kh, kw, C)."""
     sB, sH, sW, sC = xp.strides
     shape = (xp.shape[0], Ho, Wo, kh, kw, xp.shape[3])
-    strides = (sB, sH * stride, sW * stride, sH, sW, sC)
+    strides = (sB, sH, sW, sH, sW, sC)
     return np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides)
 
 
 def conv2d(x, w, b=None, stride=1, padding=0):
-    """2-D convolution (cross-correlation), channels-last.
+    """2-D convolution (cross-correlation), channels-last, stride 1.
 
     x: (B, H, W, C) or (H, W, C); w: (kh, kw, C, C'); b: (C',) optional.
-    Output height is floor((H + 2*padding - kh) / stride) + 1.
+    Output height is H + 2*padding - kh + 1. Downsampling is `max_pool2d`'s
+    job, so any `stride` other than 1 raises DimensionError.
     """
     xb, squeeze = _as_batched(x)
     B, H, W, C = xb.shape
     kh, kw, Cin, Cout = w.shape
-    if stride < 1:
-        raise DimensionError("conv2d: stride must be >= 1")
+    if stride != 1:
+        raise DimensionError(f"conv2d: only stride 1 is supported, got {stride}")
     if Cin != C:
         raise DimensionError(f"conv2d: kernel expects {Cin} channels, input has {C}")
     if kh > H + 2 * padding or kw > W + 2 * padding:
         raise DimensionError("conv2d: kernel larger than padded input")
-    Ho = (H + 2 * padding - kh) // stride + 1
-    Wo = (W + 2 * padding - kw) // stride + 1
+    Ho = H + 2 * padding - kh + 1
+    Wo = W + 2 * padding - kw + 1
 
     xp = np.pad(xb.data, ((0, 0), (padding, padding), (padding, padding), (0, 0))) \
         if padding else xb.data
-    cols = np.ascontiguousarray(_im2col(xp, kh, kw, stride, Ho, Wo))
+    cols = np.ascontiguousarray(_im2col(xp, kh, kw, Ho, Wo))
     cols2 = cols.reshape(B * Ho * Wo, kh * kw * C)
     w2 = w.data.reshape(kh * kw * C, Cout)
     out = cols2 @ w2
@@ -645,7 +646,7 @@ def conv2d(x, w, b=None, stride=1, padding=0):
             gxp = np.zeros_like(xp)
             for i in range(kh):
                 for j in range(kw):
-                    gxp[:, i:i + Ho * stride:stride, j:j + Wo * stride:stride, :] += gcols[:, :, :, i, j, :]
+                    gxp[:, i:i + Ho, j:j + Wo, :] += gcols[:, :, :, i, j, :]
             if padding:
                 gxp = gxp[:, padding:padding + H, padding:padding + W, :]
             _accum(xb, gxp)
@@ -667,7 +668,7 @@ def depthwise_conv2d(x, w, b=None):
         raise DimensionError("depthwise_conv2d: channel mismatch")
     ph, pw = kh // 2, kw // 2
     xp = np.pad(xb.data, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    cols = _im2col(xp, kh, kw, 1, H, W)
+    cols = _im2col(xp, kh, kw, H, W)
     data = np.einsum("bhwijc,ijc->bhwc", cols, w.data, optimize=True)
     if b is not None:
         data = data + b.data
@@ -828,7 +829,7 @@ def deformable_conv2d(x, w, b, offset_w, offset_b):
         raise DimensionError("deformable_conv2d: offset conv must emit 2*kh*kw channels")
     ph, pw = kh // 2, kw // 2
 
-    offsets = conv2d(xb, offset_w, offset_b, stride=1, padding=ph)
+    offsets = conv2d(xb, offset_w, offset_b, padding=ph)
     offsets = reshape(offsets, (B, H * W * kh * kw, 2))
 
     ii, jj = np.meshgrid(np.arange(H), np.arange(W), indexing="ij")
@@ -850,19 +851,19 @@ def deformable_conv2d(x, w, b, offset_w, offset_b):
 # ---------------------------------------------------------------------------
 
 
-def trunc_normal(rng, shape, std=0.02, dtype=None):
-    """Normal(0, std) resampled into [-2*std, 2*std] (rejection sampling)."""
-    dtype = dtype or _DTYPE
+def trunc_normal(rng, shape):
+    """Normal(0, 0.02) resampled into [-0.04, 0.04] (rejection sampling)."""
+    std = 0.02
     out = rng.standard_normal(shape) * std
     bad = np.abs(out) > 2 * std
     while bad.any():
         out[bad] = rng.standard_normal(int(bad.sum())) * std
         bad = np.abs(out) > 2 * std
-    return Tensor(out, requires_grad=True, dtype=dtype)
+    return Tensor(out, requires_grad=True)
 
 
-def zeros_param(shape, dtype=None):
-    return Tensor(np.zeros(shape), requires_grad=True, dtype=dtype or _DTYPE)
+def zeros_param(shape):
+    return Tensor(np.zeros(shape), requires_grad=True)
 
 
 @dataclass

@@ -103,13 +103,13 @@ def _parse_pairs(spec_str):
 
 
 def cmd_gen_data(args):
+    # generating first rejects bad arguments before any file is written
+    ds = data_mod.generate(args.task, args.n, np.random.default_rng(args.seed),
+                           image_size=args.image_size, num_classes=args.classes)
     prepare_out_dir(args.out, args.force)
     payload = f"task={args.task} n={args.n} image_size={args.image_size} " \
               f"classes={args.classes}"
     write_manifest(args.out, "gen-data", None, args.seed, payload)
-    rng = np.random.default_rng(args.seed)
-    ds = data_mod.generate(args.task, args.n, rng, image_size=args.image_size,
-                           num_classes=args.classes)
     data_mod.write_dataset(ds, args.out)
     print(f"wrote {len(ds)} samples to {args.out}")
     return 0
@@ -128,17 +128,23 @@ def _resolve_configs(args):
     return cfg, tcfg.validate()
 
 
-def cmd_train(args):
-    cfg, tcfg = _resolve_configs(args)
-    datasets = _load_datasets_arg(args.data)
-    for ds, _ in datasets:
+def _check_classes(datasets, cfg):
+    """DataError unless every dataset has the model's class count, without
+    which neither the loss nor the metrics can be computed."""
+    for ds in datasets:
         if ds.num_classes != cfg.num_classes:
             raise DataError(f"dataset '{ds.name}' has {ds.num_classes} classes, "
                             f"model expects {cfg.num_classes}")
-    prepare_out_dir(args.out, args.force)
-    write_manifest(args.out, "train", args.config, tcfg.seed)
+
+
+def cmd_train(args):
+    cfg, tcfg = _resolve_configs(args)
+    datasets = _load_datasets_arg(args.data)
+    _check_classes([ds for ds, _ in datasets], cfg)
     model = model_mod.ProNextModel(cfg, seed=tcfg.seed)
     trainer = train_mod.Trainer(model, tcfg, datasets)
+    prepare_out_dir(args.out, args.force)
+    write_manifest(args.out, "train", args.config, tcfg.seed)
     with open(os.path.join(args.out, "train.csv"), "w", encoding="utf-8") as fh:
         fh.write("step,loss,acc\n")
         trainer.run(quiet=args.quiet, log_fh=fh)
@@ -150,6 +156,7 @@ def cmd_train(args):
 def cmd_eval(args):
     model = train_mod.load_model_from_checkpoint(args.checkpoint)
     datasets = _load_datasets_arg(args.data)
+    _check_classes([ds for ds, _ in datasets], model.cfg)
     prepare_out_dir(args.out, args.force)
     write_manifest(args.out, "eval", args.checkpoint, args.seed)
     tcfg = train_mod.TrainConfig(crop=model.cfg.input_size, resize=model.cfg.input_size)
@@ -166,10 +173,13 @@ def cmd_eval(args):
 def cmd_explain(args):
     if not 1 <= args.stage <= 3:
         raise ConfigError(f"stage must be 1..3, got {args.stage}")
+    if not 0.0 < args.tau < 1.0:
+        raise ConfigError(f"tau must be strictly inside (0, 1), got {args.tau}")
     model = train_mod.load_model_from_checkpoint(args.checkpoint)
     if model.cfg.parser_mode == "none":
         raise ConfigError("checkpointed model has no parser; nothing to explain")
     ds = data_mod.load_dataset(args.data)
+    _check_classes([ds], model.cfg)
     prepare_out_dir(args.out, args.force)
     write_manifest(args.out, "explain", args.checkpoint, args.seed)
     mask_dir = os.path.join(args.out, "masks")

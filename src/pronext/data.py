@@ -36,6 +36,10 @@ from .netpbm import read_pgm_p5, read_ppm_p6, write_pgm_p5, write_ppm_p6
 
 TASKS = ("detail", "structure", "interaction")
 
+# the smallest image side at which the detail glyph always fits inside its
+# shape; below it the placement loop can find no spot and never ends
+MIN_IMAGE_SIZE = 10
+
 
 def max_workers():
     """Worker-pool cap from PRONEXT_THREADS (defaults to 1)."""
@@ -150,8 +154,8 @@ def _render_all(render_one, rngs):
 
 def gen_detail_task(n, num_classes, rng, image_size=64):
     """Large common shape; the label is the 3x3 glyph stamped inside it."""
-    if num_classes > 16:
-        raise InputError("detail task supports at most 16 classes")
+    if not 2 <= num_classes <= 16:
+        raise InputError(f"detail task supports 2 to 16 classes, got {num_classes}")
     S = image_size
 
     def render(r):
@@ -294,13 +298,22 @@ def gen_interaction_task(n, num_classes, rng, image_size=64):
 
 
 def generate(task, n, rng, image_size=64, num_classes=None):
-    if task == "detail":
-        return gen_detail_task(n, num_classes or 8, rng, image_size)
-    if task == "structure":
-        return gen_structure_task(n, 2, rng, image_size)
-    if task == "interaction":
-        return gen_interaction_task(n, 4, rng, image_size)
-    raise ConfigError(f"unknown task '{task}'; choose from {TASKS}")
+    """`n` samples of one task at `num_classes`, by default the task's own
+    count (8 for detail). Arguments a task cannot honour raise ConfigError
+    before anything is drawn."""
+    generators = {"detail": (gen_detail_task, 8), "structure": (gen_structure_task, 2),
+                  "interaction": (gen_interaction_task, 4)}
+    if task not in generators:
+        raise ConfigError(f"unknown task '{task}'; choose from {TASKS}")
+    if n < 1:
+        raise ConfigError(f"sample count must be >= 1, got {n}")
+    if image_size < MIN_IMAGE_SIZE:
+        raise ConfigError(f"image size must be >= {MIN_IMAGE_SIZE}, got {image_size}")
+    gen, classes = generators[task]
+    try:
+        return gen(n, classes if num_classes is None else num_classes, rng, image_size)
+    except InputError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

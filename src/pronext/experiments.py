@@ -30,14 +30,12 @@ ABLATION_ROWS = (
                        context_impression_enabled=True)),
 )
 
-def train_once(cfg, train_cfg, train_ds, test_ds, seed, quiet=True):
+def train_once(cfg, train_cfg, train_ds, test_ds, seed):
     """One training run from scratch; returns held-out accuracy."""
-    model = model_mod.ProNextModel(replace(cfg), seed=seed)
+    model = model_mod.ProNextModel(cfg, seed=seed)
     tcfg = replace(train_cfg, seed=seed)
-    trainer = train_mod.Trainer(model, tcfg, [(train_ds, 1.0)])
-    trainer.run(quiet=quiet)
-    acc, _ = train_mod.evaluate(model, test_ds, tcfg)
-    return acc, model
+    train_mod.Trainer(model, tcfg, [(train_ds, 1.0)]).run()
+    return train_mod.evaluate(model, test_ds, tcfg)[0]
 
 
 @dataclass
@@ -51,8 +49,7 @@ class AblationCell:
         return float(np.median(self.seed_accs))
 
 
-def run_ablation(base_cfg, train_cfg, task_data, seeds=(0, 1, 2), quiet=True,
-                 progress=None):
+def run_ablation(base_cfg, train_cfg, task_data, seeds=(0, 1, 2), progress=None):
     """task_data: {task_name: (train_ds, test_ds)}. Returns AblationCell list
     in ladder order."""
     cells = []
@@ -61,8 +58,8 @@ def run_ablation(base_cfg, train_cfg, task_data, seeds=(0, 1, 2), quiet=True,
         for task, (train_ds, test_ds) in task_data.items():
             accs = []
             for seed in seeds:
-                acc, _ = train_once(replace(cfg, num_classes=train_ds.num_classes),
-                                    train_cfg, train_ds, test_ds, seed, quiet=quiet)
+                acc = train_once(replace(cfg, num_classes=train_ds.num_classes),
+                                 train_cfg, train_ds, test_ds, seed)
                 accs.append(acc)
                 if progress:
                     progress(f"{row_name}/{task}/seed{seed}: acc {acc:.3f}")
@@ -112,18 +109,17 @@ def spearman_rank_correlation(xs, ys):
 
 
 def run_scale_sweep(pairs, train_cfg, train_ds, test_ds, seeds=(0, 1, 2),
-                    input_size=64, quiet=True, progress=None, cfg_overrides=None):
+                    input_size=64, progress=None):
     """Train each (variant, k) with the identical budget; returns SweepPoints
     sorted by estimated GFLOPs ascending."""
     points = []
     for name, k in pairs:
         cfg = model_mod.build_variant(name, k, input_size=input_size,
-                                      num_classes=train_ds.num_classes,
-                                      **(cfg_overrides or {}))
+                                      num_classes=train_ds.num_classes)
         gflops = model_mod.flop_count(cfg)
         accs = []
         for seed in seeds:
-            acc, _ = train_once(cfg, train_cfg, train_ds, test_ds, seed, quiet=quiet)
+            acc = train_once(cfg, train_cfg, train_ds, test_ds, seed)
             accs.append(acc)
             if progress:
                 progress(f"{name}/{k}/seed{seed}: acc {acc:.3f}")

@@ -2,11 +2,11 @@
 
 Everything here consumes the forward pass's patch masks only; no extra
 training happens. A stage-l patch covers patch_size * 2^(l-1) image pixels
-(the stem preserves resolution), so pre-threshold probabilities are painted
-over their receptive footprints and optionally smoothed by bilinear
-interpolation back to image resolution. Boxes come from thresholding the
-score map and taking the largest 4-connected component's tight bounding box
-(full-image fallback when the threshold empties the map).
+(the stem preserves resolution), so a stage's patch grid tiles the image
+exactly and its pre-threshold probabilities are bilinearly interpolated up
+to image resolution. Boxes come from thresholding that score map and taking
+the largest 4-connected component's tight bounding box (full-image fallback
+when the threshold empties the map).
 
 Box convention: (x0, y0, x1, y1), inclusive-exclusive pixel coordinates.
 """
@@ -32,7 +32,6 @@ V2_IOU_LEVELS = (0.3, 0.5, 0.7)
 class LocalizationResult:
     score_map: np.ndarray      # (H, W) in [0, 1]
     bbox: tuple                # (x0, y0, x1, y1)
-    source_stage: int          # 1..3
 
 
 # ---------------------------------------------------------------------------
@@ -47,24 +46,16 @@ def stage_footprint(cfg, stage):
     return cfg.patch_size * 2 ** (stage - 1)
 
 
-def mask_to_image(m, stage, cfg, sample=0, smooth=True):
-    """Paint a stage's pre-threshold probabilities over the raw image plane.
-
-    smooth=False returns the nearest-painted footprint map (each patch's
-    probability fills its receptive square exactly); smooth=True bilinearly
-    interpolates the patch grid up to image resolution. Values clipped to
-    [0, 1].
-    """
+def mask_to_image(m, stage, cfg, sample=0):
+    """A stage's pre-threshold probabilities on the raw image plane: the patch
+    grid bilinearly interpolated up to image resolution, clipped to [0, 1].
+    The grid must tile the image with the stage's footprint."""
     probs = m.probs[sample]
     foot = stage_footprint(cfg, stage)
     if probs.shape[0] * foot != cfg.input_size:
         raise InputError(f"stage {stage} grid {probs.shape[0]} does not tile "
                          f"the {cfg.input_size}px image with footprint {foot}")
-    if smooth:
-        out = bilinear_resize(probs[:, :, None].astype(np.float32),
-                              cfg.input_size)[:, :, 0]
-    else:
-        out = np.repeat(np.repeat(probs, foot, axis=0), foot, axis=1)
+    out = bilinear_resize(probs[:, :, None].astype(np.float32), cfg.input_size)[:, :, 0]
     return np.clip(out, 0.0, 1.0)
 
 
@@ -162,19 +153,15 @@ def predict(model, images):
         return model.forward(images.astype(np.float32))
 
 
-def localize_batch(pred, cfg, stage=1, tau=0.5, smooth=True):
+def localize_batch(pred, cfg, stage=1, tau=0.5):
     """Box extraction from the requested stage's masks of one prediction.
 
-    Returns one LocalizationResult per sample; only the patch masks are read.
+    Returns one LocalizationResult per sample: the `mask_to_image` score map
+    and its `map_to_bbox` box. Only the patch masks are read.
     """
     m = pred.stage_masks[stage - 1]
-    results = []
-    for i in range(m.batch):
-        score = mask_to_image(m, stage, cfg, sample=i, smooth=smooth)
-        results.append(LocalizationResult(score_map=score,
-                                          bbox=map_to_bbox(score, tau),
-                                          source_stage=stage))
-    return results
+    scores = [mask_to_image(m, stage, cfg, sample=i) for i in range(m.batch)]
+    return [LocalizationResult(score_map=s, bbox=map_to_bbox(s, tau)) for s in scores]
 
 
 def structure_mask(pred, stage, cfg, tau=0.5):

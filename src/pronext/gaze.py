@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DimensionError
-from .parsers import (PatchMask, plain_field_parse, shift_parse,
+from .parsers import (PatchMask, SAParserParams, plain_field_parse, shift_parse,
                       spatial_attention_parse)
 
 
@@ -92,14 +92,14 @@ def _ca_block(h, kv, layer, heads, key_weights=None):
     return ad.add(h, ad.linear(mid, layer.ffn_w2, layer.ffn_b2))
 
 
-def run_parser(f, k, parser_mode, parser_params, mode="hard", band_pass=True):
-    if parser_mode == "shift":
-        return shift_parse(f, k, parser_params, mode=mode, band_pass=band_pass)
-    if parser_mode == "spatial_attention":
+def run_parser(f, k, parser_params, mode="hard", band_pass=True):
+    """Parse with the parser these parameters belong to: spatial attention,
+    the plain field (no condition weights) or the full shift parser."""
+    if isinstance(parser_params, SAParserParams):
         return spatial_attention_parse(f, k, parser_params, mode=mode)
-    if parser_mode == "plain_field":
+    if parser_params.cond_w is None:
         return plain_field_parse(f, k, parser_params, mode=mode)
-    raise ConfigError(f"unknown parser mode '{parser_mode}'")
+    return shift_parse(f, k, parser_params, mode=mode, band_pass=band_pass)
 
 
 def _batched_tokens(f, k):
@@ -162,8 +162,7 @@ def context_impression_batched(f, k, mask, params):
     return ad.div(ad.reduce_sum(ad.mul(h, qw), axis=1), ad.reduce_sum(qw, axis=1))
 
 
-def gaze_shift(f, k, parser_mode, parser_params, stage_params, mode="hard",
-               band_pass=True):
+def gaze_shift(f, k, parser_params, stage_params, mode="hard", band_pass=True):
     """One full stage: parse, mask, abstract, compress.
 
     f: (B, H, W, C) with H == W divisible by 2k. Returns StageOutput with the
@@ -178,7 +177,7 @@ def gaze_shift(f, k, parser_mode, parser_params, stage_params, mode="hard",
     if H % (2 * k):
         raise DimensionError(f"side {H} must be divisible by 2*k = {2 * k}")
 
-    m = run_parser(f, k, parser_mode, parser_params, mode=mode, band_pass=band_pass)
+    m = run_parser(f, k, parser_params, mode=mode, band_pass=band_pass)
     P = m.grid_side
     mask_up = ad.upsample_nearest2d(ad.reshape(m.mask, (B, P, P, 1)), k)
     masked = ad.mul(f, mask_up)                                  # focal patches in place
@@ -201,15 +200,15 @@ def plain_abstract(f, stage_params):
 # ---------------------------------------------------------------------------
 
 
-def _init_ca_layer(rng, D, dtype):
+def _init_ca_layer(rng, D):
     def mat():
-        return ad.trunc_normal(rng, (D, D), std=0.02, dtype=dtype)
+        return ad.trunc_normal(rng, (D, D))
 
     def vec():
-        return ad.zeros_param(D, dtype=dtype)
+        return ad.zeros_param(D)
 
     def ones():
-        return ad.Tensor(np.ones(D), requires_grad=True, dtype=dtype)
+        return ad.Tensor(np.ones(D), requires_grad=True)
 
     # no key bias: the softmax cancels a shift shared by all of a query's logits
     attn = ad.AttentionParams(wq=mat(), wk=mat(), wv=mat(), wo=mat(),
@@ -219,29 +218,27 @@ def _init_ca_layer(rng, D, dtype):
                          ffn_w1=mat(), ffn_b1=vec(), ffn_w2=mat(), ffn_b2=vec())
 
 
-def init_focal_stage(rng, C, dtype=None):
+def init_focal_stage(rng, C):
     """The focal abstraction of one stage on C input channels, without the
     context weights: what a stage with no Context Impression owns."""
-    dtype = dtype or ad.default_dtype()
     return GazeStageParams(
-        deform_w=ad.trunc_normal(rng, (3, 3, C, 2 * C), std=0.02, dtype=dtype),
-        deform_b=ad.zeros_param(2 * C, dtype=dtype),
-        offset_w=ad.zeros_param((3, 3, C, 18), dtype=dtype),
-        offset_b=ad.zeros_param(18, dtype=dtype))
+        deform_w=ad.trunc_normal(rng, (3, 3, C, 2 * C)),
+        deform_b=ad.zeros_param(2 * C),
+        offset_w=ad.zeros_param((3, 3, C, 18)),
+        offset_b=ad.zeros_param(18))
 
 
-def init_gaze_stage(rng, C, k, D, ca_layers, heads, dtype=None):
+def init_gaze_stage(rng, C, k, D, ca_layers, heads):
     """`init_focal_stage` plus the Context Impression weights, drawn after it."""
-    dtype = dtype or ad.default_dtype()
     if D % heads:
         raise ConfigError(f"embedding length {D} not divisible by {heads} heads")
     return replace(
-        init_focal_stage(rng, C, dtype),
-        token_w=ad.trunc_normal(rng, (k * k * C, D), std=0.02, dtype=dtype),
-        token_b=ad.zeros_param(D, dtype=dtype),
-        pe_w=ad.trunc_normal(rng, (3, 3, D), std=0.02, dtype=dtype),
-        pe_b=ad.zeros_param(D, dtype=dtype),
-        ca_layers=[_init_ca_layer(rng, D, dtype) for _ in range(ca_layers)],
-        out_ln_g=ad.Tensor(np.ones(D), requires_grad=True, dtype=dtype),
-        out_ln_b=ad.zeros_param(D, dtype=dtype),
+        init_focal_stage(rng, C),
+        token_w=ad.trunc_normal(rng, (k * k * C, D)),
+        token_b=ad.zeros_param(D),
+        pe_w=ad.trunc_normal(rng, (3, 3, D)),
+        pe_b=ad.zeros_param(D),
+        ca_layers=[_init_ca_layer(rng, D) for _ in range(ca_layers)],
+        out_ln_g=ad.Tensor(np.ones(D), requires_grad=True),
+        out_ln_b=ad.zeros_param(D),
         heads=heads)

@@ -18,7 +18,7 @@ reduces the model to a plain convolutional trunk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -94,17 +94,15 @@ class ModelConfig:
         return self.stage_side(stage) // self.patch_size
 
 
-def build_variant(name, k, input_size=64, num_classes=4, **overrides):
+def build_variant(name, k, input_size=64, num_classes=4):
     """Config for one named size variant at latent patch size k."""
     if name not in VARIANT_TABLE:
         raise ConfigError(f"unknown variant '{name}'; choose from {sorted(VARIANT_TABLE)}")
     embed_dim, ca_layers, ca_heads, stem_channels = VARIANT_TABLE[name]
-    cfg = ModelConfig(input_size=input_size, stem_channels=stem_channels,
-                      patch_size=k, embed_dim=embed_dim, ca_layers=ca_layers,
-                      ca_heads=ca_heads, variant_name=name, num_classes=num_classes)
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg.validate()
+    return ModelConfig(input_size=input_size, stem_channels=stem_channels,
+                       patch_size=k, embed_dim=embed_dim, ca_layers=ca_layers,
+                       ca_heads=ca_heads, variant_name=name,
+                       num_classes=num_classes).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +303,10 @@ class ProNextModel:
     # -- forward ------------------------------------------------------------
 
     def _apply_block(self, h, blk):
-        h = ad.conv2d(h, blk.w, stride=1, padding=1)
+        h = ad.conv2d(h, blk.w, padding=1)
         return ad.gelu(ad.block_norm(h, blk.norm_g, blk.norm_b))
 
-    def forward(self, x, mode="hard", zero_context=False):
+    def forward(self, x, mode="hard"):
         """x: (B, H, W, C) array or Tensor. mode 'soft' replaces the binary
         mask with raw probabilities everywhere (gradient checking only)."""
         cfg = self.cfg
@@ -328,12 +326,12 @@ class ProNextModel:
         masks, embeddings = [], []
         for l in range(NUM_STAGES):
             side_in, chan_in = h.shape[1], h.shape[3]
-            if cfg.parser_mode == "none":
+            if self.stage_parsers[l] is None:
                 out = gaze.plain_abstract(h, self.stage_params[l])
             else:
-                out = gaze.gaze_shift(
-                    h, cfg.patch_size, cfg.parser_mode, self.stage_parsers[l],
-                    self.stage_params[l], mode=mode, band_pass=cfg.band_pass)
+                out = gaze.gaze_shift(h, cfg.patch_size, self.stage_parsers[l],
+                                      self.stage_params[l], mode=mode,
+                                      band_pass=cfg.band_pass)
             h = self._apply_block(out.f_next, self.post_blocks[l])
             if h.shape[1] != side_in // 2 or h.shape[3] != 2 * chan_in:
                 raise DimensionError("stage contract violated: expected spatial "
@@ -344,7 +342,7 @@ class ProNextModel:
         pooled = ad.global_avg_pool(h)                           # (B, 8*C0)
         fused = ad.linear(pooled, self.fuse_w, self.fuse_b)      # (B, D)
         for e_c in embeddings:
-            if e_c is not None and not zero_context:
+            if e_c is not None:
                 fused = ad.add(fused, e_c)
         hidden = ad.gelu(ad.linear(fused, self.mlp_w1, self.mlp_b1))
         logits = ad.linear(hidden, self.mlp_w2, self.mlp_b2)

@@ -179,9 +179,8 @@ def stage_params(cond):
     return a, w
 
 
-def init_field_net(rng, dtype=None):
+def init_field_net(rng):
     """SIREN-style uniform init keeps sine pre-activations well-spread."""
-    dtype = dtype or ad.default_dtype()
     widths = [2] + [FIELD_WIDTH] * 5 + [1]
     conv_w, conv_b = [], []
     for i in range(6):
@@ -192,11 +191,10 @@ def init_field_net(rng, dtype=None):
         else:
             bound = np.sqrt(6.0 / fan_in)
         conv_w.append(ad.Tensor(rng.uniform(-bound, bound, (3, 3, cin, cout)),
-                                requires_grad=True, dtype=dtype))
-        conv_b.append(ad.Tensor(np.zeros(cout), requires_grad=True, dtype=dtype))
-    skip_w = ad.Tensor(rng.uniform(-0.25, 0.25, (1, 1, FIELD_WIDTH, 1)),
-                       requires_grad=True, dtype=dtype)
-    skip_b = ad.Tensor(np.zeros(1), requires_grad=True, dtype=dtype)
+                                requires_grad=True))
+        conv_b.append(ad.Tensor(np.zeros(cout), requires_grad=True))
+    skip_w = ad.Tensor(rng.uniform(-0.25, 0.25, (1, 1, FIELD_WIDTH, 1)), requires_grad=True)
+    skip_b = ad.Tensor(np.zeros(1), requires_grad=True)
     return FieldNetParams(conv_w, conv_b, skip_w, skip_b)
 
 
@@ -320,20 +318,17 @@ def spatial_attention_parse(f, k, params, mode="hard"):
 # ---------------------------------------------------------------------------
 
 
-def init_shift_parser(rng, channels, dtype=None):
+def init_shift_parser(rng, channels):
     """Condition conv starts near (a, w) = (1, softplus(1)): a zero amplitude
     would silence the sine activations and their gradients at step 0."""
-    dtype = dtype or ad.default_dtype()
-    cond_w = ad.Tensor(rng.standard_normal((1, 1, channels, 2)) * 0.02,
-                       requires_grad=True, dtype=dtype)
-    cond_b = ad.Tensor(np.array([1.0, 1.0]), requires_grad=True, dtype=dtype)
-    return ShiftParserParams(cond_w=cond_w, cond_b=cond_b, field=init_field_net(rng, dtype))
+    cond_w = ad.Tensor(rng.standard_normal((1, 1, channels, 2)) * 0.02, requires_grad=True)
+    cond_b = ad.Tensor(np.array([1.0, 1.0]), requires_grad=True)
+    return ShiftParserParams(cond_w=cond_w, cond_b=cond_b, field=init_field_net(rng))
 
 
-def init_sa_parser(rng, dtype=None):
-    dtype = dtype or ad.default_dtype()
-    w = ad.Tensor(rng.standard_normal((1, 1, 2, 1)) * 0.5, requires_grad=True, dtype=dtype)
-    b = ad.Tensor(np.zeros(1), requires_grad=True, dtype=dtype)
+def init_sa_parser(rng):
+    w = ad.Tensor(rng.standard_normal((1, 1, 2, 1)) * 0.5, requires_grad=True)
+    b = ad.Tensor(np.zeros(1), requires_grad=True)
     return SAParserParams(w=w, b=b)
 
 

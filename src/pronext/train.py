@@ -115,8 +115,8 @@ def mixup(batch_x, batch_y, alpha, rng):
     return mixed_x.astype(batch_x.dtype), mixed_y.astype(batch_y.dtype)
 
 
-def one_hot(labels, num_classes, dtype=np.float32):
-    out = np.zeros((len(labels), num_classes), dtype=dtype)
+def one_hot(labels, num_classes):
+    out = np.zeros((len(labels), num_classes), dtype=np.float32)
     out[np.arange(len(labels)), labels] = 1.0
     return out
 
@@ -239,8 +239,8 @@ class Trainer:
         self.step = 0
         self.log = []
         weights = np.array([w for _, w in datasets], dtype=np.float64)
-        if weights.min() < 0 or weights.sum() <= 0:
-            raise ConfigError("train: dataset weights must be nonnegative, sum > 0")
+        if not np.isfinite(weights).all() or weights.min() < 0 or weights.sum() <= 0:
+            raise ConfigError("train: dataset weights must be finite and nonnegative, sum > 0")
         self._weights = weights / weights.sum()
 
     # -- batch assembly ------------------------------------------------------

@@ -126,7 +126,7 @@ class TestConv2d:
         assert out.shape == (2, 2, 1)
         np.testing.assert_allclose(out.data, conv2d_oracle(x, w), rtol=1e-12)
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 2)])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (1, 2)])
     def test_random_shapes_match_oracle(self, stride, padding):
         rng = np.random.default_rng(stride * 10 + padding)
         x = rng.standard_normal((9, 9, 4))
@@ -153,6 +153,9 @@ class TestConv2d:
             ad.conv2d(x, ad.Tensor(np.zeros((3, 3, 5, 1))))
         with pytest.raises(DimensionError):
             ad.conv2d(x, ad.Tensor(np.zeros((6, 6, 2, 1))))
+        for stride in (0, 2):
+            with pytest.raises(DimensionError):
+                ad.conv2d(x, ad.Tensor(np.zeros((1, 1, 2, 1))), stride=stride)
 
 
 # ---------------------------------------------------------------------------

@@ -231,9 +231,22 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("argv,message", [
         (["train", "--data", "{data}:abc"], "weight 'abc' is not a number"),
+        (["train", "--data", "{data}:nan"], "weights must be finite"),
+        (["train", "--data", "{data}:inf"], "weights must be finite"),
         (["flops", "--pairs", "S"], "--pairs item 'S'"),
-        (["scale-sweep", "--data", "{data}", "--pairs", "S/x"], "--pairs item 'S/x'")],
-        ids=["train_data_weight", "flops_pairs", "scale_sweep_pairs"])
+        (["scale-sweep", "--data", "{data}", "--pairs", "S/x"], "--pairs item 'S/x'"),
+        (["explain", "--checkpoint", "{data}/none.ckpt", "--data", "{data}", "--tau", "1.5"],
+         "tau must be strictly inside (0, 1), got 1.5"),
+        (["gen-data", "--task", "detail", "--image-size", "0"], "image size must be >= 10, got 0"),
+        (["gen-data", "--task", "detail", "--image-size", "4"], "image size must be >= 10, got 4"),
+        (["gen-data", "--task", "detail", "--image-size", "8"], "image size must be >= 10, got 8"),
+        (["gen-data", "--task", "detail", "--n", "0"], "sample count must be >= 1, got 0"),
+        (["gen-data", "--task", "detail", "--classes", "0"], "supports 2 to 16 classes, got 0"),
+        (["gen-data", "--task", "structure", "--classes", "3"], "structure task is binary")],
+        ids=["train_data_weight", "train_data_weight_nan", "train_data_weight_inf",
+             "flops_pairs", "scale_sweep_pairs", "explain_tau", "gen_data_size_0",
+             "gen_data_size_4", "gen_data_size_8", "gen_data_n_0", "gen_data_classes_0",
+             "gen_data_structure_classes_3"])
     def test_malformed_argument_exit_1(self, workspace, capsys, argv, message):
         tmp_path, model_cfg, train_cfg, data_dir = workspace
         argv = [a.format(data=data_dir) for a in argv]
@@ -245,6 +258,21 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("configuration error:") and message in err
+        assert not (tmp_path / "bad").exists()     # refused before writing anything
+
+    @pytest.mark.parametrize("command", ["eval", "explain"])
+    def test_class_count_mismatch_exit_2(self, workspace, capsys, command):
+        rc, out = run_train(workspace, f"run_{command}")
+        tmp_path, *_ = workspace
+        other = tmp_path / "detail8"
+        assert cli.main(["gen-data", "--task", "detail", "--n", "4", "--image-size", "32",
+                         "--out", str(other), "--seed", "2"]) == 0
+        rc = cli.main([command, "--checkpoint", str(out / "final.ckpt"), "--data", str(other),
+                       "--out", str(tmp_path / "bad"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error:") and "has 8 classes, model expects 4" in err
+        assert not (tmp_path / "bad").exists()
 
 
 class TestGenData:
@@ -264,6 +292,24 @@ class TestGenData:
     def test_unknown_task_exit_code(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             cli.main(["gen-data", "--task", "nonsense", "--out", str(tmp_path / "z")])
+
+
+class TestScaleSweep:
+    def test_tiny_sweep_writes_points_and_rho(self, workspace, capsys):
+        tmp_path, *_, data_dir = workspace
+        out = tmp_path / "sweep"
+        rc = cli.main(["scale-sweep", "--data", data_dir, "--pairs", "S/4", "--steps", "1",
+                       "--seeds", "1", "--batch-size", "4", "--out", str(out), "--quiet"])
+        assert rc == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "variant,k,gflops,mean_acc"
+        variant, k, gflops, acc = lines[1].split(",")
+        assert (variant, k) == ("S", "4")
+        assert float(gflops) == pytest.approx(M.flop_count(M.build_variant("S", 4, 32)),
+                                              rel=1e-5)
+        assert 0.0 <= float(acc) <= 1.0
+        assert lines[2] == "spearman,,,0.000000"      # one point: no ranking
+        assert json.loads((out / "manifest.json").read_text())["command"] == "scale-sweep"
 
 
 class TestFlops:

@@ -1,0 +1,78 @@
+"""Experiment drivers: the rank correlation behind the scale sweep's claim,
+and a traced training step through the benchmark's tracer, which patches
+package functions by name (`perfbench/tracer.py`, loaded here unmodified)."""
+
+import importlib.util
+import os
+import types
+
+import numpy as np
+import pytest
+from scipy import stats
+
+from pronext import autodiff, data, gaze, parsers
+from pronext import model as M
+from pronext import train as T
+from pronext.experiments import spearman_rank_correlation
+
+TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+
+
+class TestSpearman:
+    def test_ties_take_average_ranks(self):
+        # x ranks (1, 2.5, 2.5, 4) against (1, 2, 3, 4): rho = 4.5 / sqrt(4.5 * 5);
+        # ordinal tie-breaking would give 1.0
+        assert spearman_rank_correlation([1, 2, 2, 3], [1, 2, 3, 4]) == \
+            pytest.approx(3 / np.sqrt(10), abs=1e-12)
+
+    def test_matches_scipy_with_many_ties(self):
+        rng = np.random.default_rng(0)
+        xs = rng.integers(0, 5, 40)
+        ys = xs + rng.integers(0, 4, 40)
+        assert spearman_rank_correlation(xs, ys) == \
+            pytest.approx(stats.spearmanr(xs, ys).statistic, abs=1e-12)
+
+    @pytest.mark.parametrize("xs,ys", [([3.0, 3.0, 3.0], [1.0, 2.0, 3.0]),
+                                       ([1.0, 2.0, 3.0], [0.5, 0.5, 0.5])])
+    def test_constant_input_gives_zero(self, xs, ys):
+        assert spearman_rank_correlation(xs, ys) == 0.0
+
+    def test_monotone_gives_plus_minus_one(self):
+        xs = np.array([0.1, 0.5, 2.0, 7.0, 9.5])
+        assert spearman_rank_correlation(xs, xs ** 3) == pytest.approx(1.0, abs=1e-12)
+        assert spearman_rank_correlation(xs, -np.exp(xs)) == pytest.approx(-1.0, abs=1e-12)
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_patch_points_exist():
+    """One tiny traced train step records the parser and conv2d spans, and
+    restoring leaves every patched owner holding its original attributes."""
+    pn = types.SimpleNamespace(ad=autodiff, parsers=parsers, gaze=gaze, model=M, train=T)
+    owners = [autodiff, parsers, gaze, M, T, autodiff.Tensor, M.ProNextModel,
+              T.Trainer, T.AdamW]
+    before = {(id(o), name): value for o in owners for name, value in vars(o).items()}
+    cfg = M.ModelConfig(input_size=16, stem_channels=2, patch_size=2, embed_dim=8,
+                        ca_layers=1, ca_heads=2, num_classes=4).validate()
+    ds = data.gen_interaction_task(4, 4, np.random.default_rng(0), image_size=16)
+    tcfg = T.TrainConfig(batch_size=2, steps=1, crop=16, resize=16, seed=0)
+
+    tracer = _load_tracer().Tracer()
+    tracer.install(pn)
+    try:
+        tracer.phase = "train"
+        T.Trainer(M.ProNextModel(cfg, seed=0), tcfg, [(ds, 1.0)]).train_step()
+    finally:
+        tracer.restore()
+
+    assert tracer.ncalls("train", "parsers.parse.stage0") == 1
+    assert tracer.ncalls("train", "autodiff.conv2d") > 0
+    assert tracer.ncalls("train", "autodiff.conv2d.bwd") > 0
+    after = {(id(o), name): value for o in owners for name, value in vars(o).items()}
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []

@@ -12,10 +12,9 @@ from pronext import model as M
 from pronext.errors import InputError
 
 
-def result_from_map(score_map, tau=0.5, stage=1):
+def result_from_map(score_map, tau=0.5):
     return explain.LocalizationResult(score_map=score_map,
-                                      bbox=explain.map_to_bbox(score_map, tau),
-                                      source_stage=stage)
+                                      bbox=explain.map_to_bbox(score_map, tau))
 
 
 def rect_map(H, W, y0, y1, x0, x1, value=1.0):
@@ -125,8 +124,7 @@ class TestLocMetrics:
         m = np.zeros((12, 12))
         m[2:8, 2:8] = 0.6
         m[0:12, 0:2] = 0.25                        # low-value distractor strip
-        res = [explain.LocalizationResult(score_map=m, bbox=(0, 0, 12, 12),
-                                          source_stage=1)]
+        res = [explain.LocalizationResult(score_map=m, bbox=(0, 0, 12, 12))]
         metrics = explain.loc_metrics(res, [(2, 2, 8, 8)], np.eye(2)[:1], [0])
         assert metrics["gt_known"] == 0.0           # stored box is the full image
         assert metrics["max_box_acc_v1"] == 1.0     # some tau isolates the square
@@ -217,17 +215,20 @@ class TestMaskToImage:
 
     def test_uniform_probs_paint_uniformly(self):
         m = self.fake_mask(np.full((8, 8), 0.7))
-        for smooth in (False, True):
-            out = explain.mask_to_image(m, 1, self.cfg, smooth=smooth)
-            assert out.shape == (32, 32)
-            np.testing.assert_allclose(out, 0.7, atol=1e-6)
+        out = explain.mask_to_image(m, 1, self.cfg)
+        assert out.shape == (32, 32)
+        np.testing.assert_allclose(out, 0.7, atol=1e-6)
 
-    def test_single_patch_footprint_before_smoothing(self):
+    def test_single_patch_spreads_half_a_footprint(self):
+        # footprint 4: pixel centers up to half a patch from the patch center
+        # hold its full value, the interpolation reaches half a patch past its
+        # square, and beyond that the map is zero
         probs = np.zeros((8, 8))
         probs[0, 0] = 1.0
-        out = explain.mask_to_image(self.fake_mask(probs), 1, self.cfg, smooth=False)
-        assert out[:4, :4].min() == 1.0
-        assert out[4:, :].max() == 0.0 and out[:, 4:].max() == 0.0
+        out = explain.mask_to_image(self.fake_mask(probs), 1, self.cfg)
+        assert out[:2, :2].min() == 1.0
+        np.testing.assert_allclose(out[0, :7], [1, 1, 0.875, 0.625, 0.375, 0.125, 0])
+        assert out[6:, :].max() == 0.0 and out[:, 6:].max() == 0.0
 
     def test_footprint_doubles_per_stage(self):
         assert explain.stage_footprint(self.cfg, 1) == 4
@@ -235,7 +236,7 @@ class TestMaskToImage:
         assert explain.stage_footprint(self.cfg, 3) == 16
         for stage, P in ((1, 8), (2, 4), (3, 2)):
             m = self.fake_mask(np.full((P, P), 0.5))
-            out = explain.mask_to_image(m, stage, self.cfg, smooth=False)
+            out = explain.mask_to_image(m, stage, self.cfg)
             assert out.shape == (32, 32)
 
     def test_stage_bounds(self):

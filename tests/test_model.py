@@ -179,20 +179,34 @@ class TestForward:
         assert not any("parser" in name for name in model.params)
 
     def test_zeroing_context_changes_logits_iff_enabled(self):
+        def head(model, fused):
+            """The MLP head in numpy: linear -> tanh-form GELU -> linear."""
+            h = fused @ model.mlp_w1.data + model.mlp_b1.data
+            h = 0.5 * h * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (h + 0.044715 * h ** 3)))
+            return h @ model.mlp_w2.data + model.mlp_b2.data
+
+        def context_sum(pred):
+            return sum(e.data for e in pred.stage_embeddings if e is not None)
+
         rng_in = random_input(desk_config(), seed=3)
         model_on = M.ProNextModel(desk_config(), seed=1)
         # give the zero-init head a kick so logits respond to the embedding
         model_on.mlp_w2.data = np.random.default_rng(5).standard_normal(
             model_on.mlp_w2.shape).astype(np.float32) * 0.1
-        with_ctx = model_on.forward(rng_in).logits.data
-        without_ctx = model_on.forward(rng_in, zero_context=True).logits.data
+        pred = model_on.forward(rng_in)
+        with_ctx = pred.logits.data
+        np.testing.assert_allclose(head(model_on, pred.fused.data), with_ctx,
+                                   rtol=1e-5, atol=1e-6)
+        without_ctx = head(model_on, pred.fused.data - context_sum(pred))
         assert not np.allclose(with_ctx, without_ctx)
 
         model_off = M.ProNextModel(desk_config(context_impression_enabled=False), seed=1)
         model_off.mlp_w2.data = model_on.mlp_w2.data.copy()
-        a = model_off.forward(rng_in).logits.data
-        b = model_off.forward(rng_in, zero_context=True).logits.data
-        np.testing.assert_array_equal(a, b)
+        pred = model_off.forward(rng_in)
+        assert all(e is None for e in pred.stage_embeddings)
+        np.testing.assert_array_equal(context_sum(pred), 0)
+        np.testing.assert_allclose(head(model_off, pred.fused.data), pred.logits.data,
+                                   rtol=1e-5, atol=1e-6)
 
     def test_determinism_bit_for_bit(self):
         cfg = desk_config()

@@ -72,9 +72,9 @@ class TestEncodeCondition:
 
     def test_matches_composition_oracle(self):
         rng = np.random.default_rng(2)
-        params = parsers.init_shift_parser(rng, channels=4, dtype=np.float64)
-        f_np = rng.standard_normal((2, 12, 12, 4))
         with ad.precision("float64"):
+            params = parsers.init_shift_parser(rng, channels=4)
+            f_np = rng.standard_normal((2, 12, 12, 4))
             cond = parsers.encode_condition(ad.Tensor(f_np), k=3, params=params)
         # independent oracle: patch means then 1x1 conv then softplus
         P = 4
@@ -284,7 +284,7 @@ class TestShiftParse:
         # pre-threshold probabilities must equal the soft-mode gradient
         rng = np.random.default_rng(9)
         with ad.precision("float64"):
-            params = parsers.init_shift_parser(rng, channels=3, dtype=np.float64)
+            params = parsers.init_shift_parser(rng, channels=3)
             f_np = rng.standard_normal((1, 8, 8, 3))
             coeffs = rng.standard_normal((1, 4, 4))
 
@@ -302,7 +302,7 @@ class TestShiftParse:
     def test_soft_mode_gradcheck(self):
         rng = np.random.default_rng(10)
         with ad.precision("float64"):
-            params = parsers.init_shift_parser(rng, channels=2, dtype=np.float64)
+            params = parsers.init_shift_parser(rng, channels=2)
             f = ad.Tensor(rng.standard_normal((1, 8, 8, 2)), requires_grad=True)
 
             def run(ts):

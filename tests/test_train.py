@@ -255,6 +255,11 @@ class TestTrainingLoop:
         with pytest.raises(ConfigError):
             T.Trainer(tiny_model(), tiny_train_cfg(), [(empty, 1.0)])
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_bad_weight_rejected(self, weight):
+        with pytest.raises(ConfigError, match="weights must be finite and nonnegative"):
+            T.Trainer(tiny_model(), tiny_train_cfg(), [(tiny_dataset(n=4), weight)])
+
     def test_multi_dataset_sampling_matches_weights(self):
         # chi-square over 10^4 draws, 2 dof; p > 0.01 <=> stat < 9.2103
         ds = tiny_dataset(n=4)
