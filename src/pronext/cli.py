@@ -1,11 +1,12 @@
 """Command-line harness.
 
 Subcommands: gen-data, train, eval, explain, ablate, scale-sweep, flops.
-Every run writes a manifest (command, config path, seed, output directory,
-git-style content hash of the config) into the output directory before any
-result file. Exit codes: 0 success, 1 configuration error, 2 data error,
+Every command checks all of its inputs before it creates the output
+directory, then writes a manifest (command, config path, seed, output
+directory, git-style content hash of the config) there before any result
+file. Exit codes: 0 success, 1 configuration error, 2 data error,
 3 numeric failure. An existing non-empty output directory is refused unless
---force is given. PRONEXT_THREADS caps worker-pool parallelism.
+--force is given.
 """
 
 from __future__ import annotations
@@ -48,28 +49,26 @@ def git_file_hash(path):
     return digest.hexdigest()
 
 
-def prepare_out_dir(out_dir, force):
-    if os.path.exists(out_dir) and os.listdir(out_dir) and not force:
-        raise ConfigError(f"output directory '{out_dir}' exists and is not empty "
+def start_run(args, config_path, seed, config_payload=None):
+    """The first write of every command, made once all of its checks pass:
+    create `args.out` (refusing a non-empty one without --force) and write
+    the manifest into it. `config_hash` is the blob hash of `config_payload`
+    or, without one, of the file at `config_path`."""
+    if os.path.exists(args.out) and os.listdir(args.out) and not args.force:
+        raise ConfigError(f"output directory '{args.out}' exists and is not empty "
                           "(use --force to overwrite)")
-    os.makedirs(out_dir, exist_ok=True)
-
-
-def write_manifest(out_dir, command, config_path, seed, config_payload=None):
-    """`config_hash` is the blob hash of `config_payload` or, without one, of
-    the file at `config_path`."""
+    os.makedirs(args.out, exist_ok=True)
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config_path or "",
         "seed": int(seed) if seed is not None else None,
-        "out_dir": os.path.abspath(out_dir),
+        "out_dir": os.path.abspath(args.out),
         "config_hash": (git_file_hash(config_path) if config_payload is None
                         else git_blob_hash(config_payload)),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return manifest
 
 
 def _load_datasets_arg(spec_str):
@@ -106,10 +105,8 @@ def cmd_gen_data(args):
     # generating first rejects bad arguments before any file is written
     ds = data_mod.generate(args.task, args.n, np.random.default_rng(args.seed),
                            image_size=args.image_size, num_classes=args.classes)
-    prepare_out_dir(args.out, args.force)
-    payload = f"task={args.task} n={args.n} image_size={args.image_size} " \
-              f"classes={args.classes}"
-    write_manifest(args.out, "gen-data", None, args.seed, payload)
+    start_run(args, None, args.seed, f"task={args.task} n={args.n} "
+              f"image_size={args.image_size} classes={args.classes}")
     data_mod.write_dataset(ds, args.out)
     print(f"wrote {len(ds)} samples to {args.out}")
     return 0
@@ -143,8 +140,7 @@ def cmd_train(args):
     _check_classes([ds for ds, _ in datasets], cfg)
     model = model_mod.ProNextModel(cfg, seed=tcfg.seed)
     trainer = train_mod.Trainer(model, tcfg, datasets)
-    prepare_out_dir(args.out, args.force)
-    write_manifest(args.out, "train", args.config, tcfg.seed)
+    start_run(args, args.config, tcfg.seed)
     with open(os.path.join(args.out, "train.csv"), "w", encoding="utf-8") as fh:
         fh.write("step,loss,acc\n")
         trainer.run(quiet=args.quiet, log_fh=fh)
@@ -157,8 +153,7 @@ def cmd_eval(args):
     model = train_mod.load_model_from_checkpoint(args.checkpoint)
     datasets = _load_datasets_arg(args.data)
     _check_classes([ds for ds, _ in datasets], model.cfg)
-    prepare_out_dir(args.out, args.force)
-    write_manifest(args.out, "eval", args.checkpoint, args.seed)
+    start_run(args, args.checkpoint, args.seed)
     tcfg = train_mod.TrainConfig(crop=model.cfg.input_size, resize=model.cfg.input_size)
     lines = ["dataset,acc,loss"]
     for ds, _ in datasets:
@@ -180,8 +175,7 @@ def cmd_explain(args):
         raise ConfigError("checkpointed model has no parser; nothing to explain")
     ds = data_mod.load_dataset(args.data)
     _check_classes([ds], model.cfg)
-    prepare_out_dir(args.out, args.force)
-    write_manifest(args.out, "explain", args.checkpoint, args.seed)
+    start_run(args, args.checkpoint, args.seed)
     mask_dir = os.path.join(args.out, "masks")
     score_dir = os.path.join(args.out, "scores")
     os.makedirs(mask_dir, exist_ok=True)
@@ -235,55 +229,51 @@ def _desk_ablation_config(num_classes, input_size):
         ca_heads=2, num_classes=num_classes).validate()
 
 
-def cmd_ablate(args):
-    prepare_out_dir(args.out, args.force)
-    write_manifest(args.out, "ablate", None, args.seed,
-                   f"tasks={args.tasks} steps={args.steps} seeds={args.seeds}")
-    task_names = args.tasks.split(",")
-    task_data = {}
-    for task in task_names:
-        ds = data_mod.load_dataset(os.path.join(args.data, task))
-        n_train = int(0.75 * len(ds))
-        task_data[task] = data_mod.split_dataset(ds, n_train)
-    any_train = next(iter(task_data.values()))[0]
-    base_cfg = _desk_ablation_config(any_train.num_classes, any_train.image_size)
+def _split(data_dir):
+    """Load a dataset and split it 3:1 into train and test."""
+    ds = data_mod.load_dataset(data_dir)
+    return data_mod.split_dataset(ds, int(0.75 * len(ds)))
+
+
+def _run_experiment(args, cells, payload, table_name, table):
+    """The shared tail of `ablate` and `scale-sweep`, reached once every
+    dataset has loaded and every cell's config has validated: check the seed
+    count and the training budget, then start the run, train every cell once
+    per seed and write `table(cells)` to `table_name`. Every image is resized
+    to the first cell's image size."""
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    image_size = cells[0].train_ds.image_size
     tcfg = train_mod.TrainConfig(batch_size=args.batch_size, steps=args.steps,
-                                 lr=args.lr, mixup_alpha=0.0,
-                                 crop=any_train.image_size,
-                                 resize=any_train.image_size, seed=args.seed)
+                                 lr=args.lr, mixup_alpha=0.0, crop=image_size,
+                                 resize=image_size, seed=args.seed).validate()
+    start_run(args, None, args.seed, f"{payload} steps={args.steps} seeds={args.seeds}")
     seeds = [args.seed + i for i in range(args.seeds)]
     progress = None if args.quiet else lambda msg: print(msg, flush=True)
-    cells = experiments.run_ablation(base_cfg, tcfg, task_data, seeds=seeds,
-                                     progress=progress)
-    csv = experiments.ablation_csv(cells, task_names)
-    with open(os.path.join(args.out, "ablation.csv"), "w", encoding="utf-8") as fh:
+    for cell in cells:
+        experiments.run_seeds(cell, tcfg, seeds, progress)
+    csv = table(cells)
+    with open(os.path.join(args.out, table_name), "w", encoding="utf-8") as fh:
         fh.write(csv)
     print(csv, end="")
     return 0
+
+
+def cmd_ablate(args):
+    tasks = args.tasks.split(",")
+    task_data = {task: _split(os.path.join(args.data, task)) for task in tasks}
+    train_ds = next(iter(task_data.values()))[0]
+    base_cfg = _desk_ablation_config(train_ds.num_classes, train_ds.image_size)
+    return _run_experiment(args, experiments.ablation_cells(base_cfg, task_data),
+                           f"tasks={args.tasks}", "ablation.csv",
+                           lambda cells: experiments.ablation_csv(cells, tasks))
 
 
 def cmd_scale_sweep(args):
     pairs = _parse_pairs(args.pairs)
-    prepare_out_dir(args.out, args.force)
-    write_manifest(args.out, "scale-sweep", None, args.seed,
-                   f"pairs={args.pairs} steps={args.steps} seeds={args.seeds}")
-    ds = data_mod.load_dataset(args.data)
-    n_train = int(0.75 * len(ds))
-    train_ds, test_ds = data_mod.split_dataset(ds, n_train)
-    tcfg = train_mod.TrainConfig(batch_size=args.batch_size, steps=args.steps,
-                                 lr=args.lr, mixup_alpha=0.0,
-                                 crop=ds.image_size, resize=ds.image_size,
-                                 seed=args.seed)
-    seeds = [args.seed + i for i in range(args.seeds)]
-    progress = None if args.quiet else lambda msg: print(msg, flush=True)
-    points = experiments.run_scale_sweep(pairs, tcfg, train_ds, test_ds,
-                                         seeds=seeds, input_size=ds.image_size,
-                                         progress=progress)
-    csv = experiments.sweep_csv(points)
-    with open(os.path.join(args.out, "sweep.csv"), "w", encoding="utf-8") as fh:
-        fh.write(csv)
-    print(csv, end="")
-    return 0
+    train_ds, test_ds = _split(args.data)
+    return _run_experiment(args, experiments.sweep_cells(pairs, train_ds, test_ds),
+                           f"pairs={args.pairs}", "sweep.csv", experiments.sweep_csv)
 
 
 def cmd_flops(args):

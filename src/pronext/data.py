@@ -26,7 +26,6 @@ structure), and a cues.csv sidecar recording the generative factors.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,15 +38,6 @@ TASKS = ("detail", "structure", "interaction")
 # the smallest image side at which the detail glyph always fits inside its
 # shape; below it the placement loop can find no spot and never ends
 MIN_IMAGE_SIZE = 10
-
-
-def max_workers():
-    """Worker-pool cap from PRONEXT_THREADS (defaults to 1)."""
-    raw = os.environ.get("PRONEXT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"PRONEXT_THREADS must be an integer, got '{raw}'") from None
 
 
 @dataclass
@@ -139,14 +129,6 @@ def _spawn_rngs(rng, n):
         np.random.SeedSequence(entropy=seed, spawn_key=(i,)))) for i in range(n)]
 
 
-def _render_all(render_one, rngs):
-    workers = max_workers()
-    if workers == 1:
-        return [render_one(r) for r in rngs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(render_one, rngs))
-
-
 # ---------------------------------------------------------------------------
 # detail task
 # ---------------------------------------------------------------------------
@@ -181,7 +163,7 @@ def gen_detail_task(n, num_classes, rng, image_size=64):
         cue = {"glyph": label, "gy": gy, "gx": gx}
         return _quantize(img), label, shape.astype(np.uint8), cue
 
-    rows = _render_all(render, _spawn_rngs(rng, n))
+    rows = [render(r) for r in _spawn_rngs(rng, n)]
     images, labels, masks, cues = zip(*rows)
     masks = np.stack(masks)
     return Dataset(name="detail", images=np.stack(images),
@@ -224,7 +206,7 @@ def gen_structure_task(n, num_classes, rng, image_size=64):
         cue = {"ratio_milli": int(round(ratio * 1000))}
         return _quantize(img), label, disc.astype(np.uint8), cup.astype(np.uint8), cue
 
-    rows = _render_all(render, _spawn_rngs(rng, n))
+    rows = [render(r) for r in _spawn_rngs(rng, n)]
     images, labels, discs, cups, cues = zip(*rows)
     discs = np.stack(discs)
     return Dataset(name="structure", images=np.stack(images),
@@ -288,7 +270,7 @@ def gen_interaction_task(n, num_classes, rng, image_size=64):
         cue = {"texture": tex, "palette": pal}
         return _quantize(img), label, obj.astype(np.uint8), cue
 
-    rows = _render_all(render, _spawn_rngs(rng, n))
+    rows = [render(r) for r in _spawn_rngs(rng, n)]
     images, labels, masks, cues = zip(*rows)
     masks = np.stack(masks)
     return Dataset(name="interaction", images=np.stack(images),

@@ -5,12 +5,14 @@ accuracy per cell (median over seeds): a parser-free convolutional baseline,
 spatial attention with and without the context impression, the unconditioned
 field parser, the conditional-sine parser without band-pass filtering, and
 the full parser. The sweep trains named size variants under one identical
-budget and pairs each with its estimated GFLOPs.
+budget and pairs each with its estimated GFLOPs. Both are lists of cells,
+each built and validated before anything trains, and run through one seed
+loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,63 +32,60 @@ ABLATION_ROWS = (
                        context_impression_enabled=True)),
 )
 
-def train_once(cfg, train_cfg, train_ds, test_ds, seed):
-    """One training run from scratch; returns held-out accuracy."""
-    model = model_mod.ProNextModel(cfg, seed=seed)
-    tcfg = replace(train_cfg, seed=seed)
-    train_mod.Trainer(model, tcfg, [(train_ds, 1.0)]).run()
-    return train_mod.evaluate(model, test_ds, tcfg)[0]
-
 
 @dataclass
-class AblationCell:
-    row: str
-    task: str
-    seed_accs: list
+class Cell:
+    """One cell of an experiment table: a validated model config and the
+    train/test split it learns from. `key` is (row, task) on the ladder and
+    (variant, k) in the sweep; `seed_accs` collects one held-out accuracy per
+    seed."""
+    key: tuple
+    cfg: model_mod.ModelConfig
+    train_ds: object
+    test_ds: object
+    seed_accs: list = field(default_factory=list)
 
-    @property
-    def median(self):
-        return float(np.median(self.seed_accs))
 
-
-def run_ablation(base_cfg, train_cfg, task_data, seeds=(0, 1, 2), progress=None):
-    """task_data: {task_name: (train_ds, test_ds)}. Returns AblationCell list
+def ablation_cells(base_cfg, task_data):
+    """task_data: {task_name: (train_ds, test_ds)}. One cell per (row, task)
     in ladder order."""
-    cells = []
-    for row_name, overrides in ABLATION_ROWS:
-        cfg = replace(base_cfg, **overrides).validate()
-        for task, (train_ds, test_ds) in task_data.items():
-            accs = []
-            for seed in seeds:
-                acc = train_once(replace(cfg, num_classes=train_ds.num_classes),
-                                 train_cfg, train_ds, test_ds, seed)
-                accs.append(acc)
-                if progress:
-                    progress(f"{row_name}/{task}/seed{seed}: acc {acc:.3f}")
-            cells.append(AblationCell(row=row_name, task=task, seed_accs=accs))
-    return cells
+    return [Cell((row_name, task),
+                 replace(base_cfg, num_classes=train_ds.num_classes, **overrides).validate(),
+                 train_ds, test_ds)
+            for row_name, overrides in ABLATION_ROWS
+            for task, (train_ds, test_ds) in task_data.items()]
+
+
+def sweep_cells(pairs, train_ds, test_ds):
+    """One cell per (variant, k), at the dataset's image size."""
+    return [Cell((name, k), model_mod.build_variant(name, k, input_size=train_ds.image_size,
+                                                    num_classes=train_ds.num_classes),
+                 train_ds, test_ds)
+            for name, k in pairs]
+
+
+def run_seeds(cell, train_cfg, seeds, progress=None):
+    """The seed loop: per seed, train the cell's model from scratch under
+    `train_cfg`, evaluate it on the held-out split and report the accuracy."""
+    for seed in seeds:
+        model = model_mod.ProNextModel(cell.cfg, seed=seed)
+        tcfg = replace(train_cfg, seed=seed)
+        train_mod.Trainer(model, tcfg, [(cell.train_ds, 1.0)]).run()
+        acc = train_mod.evaluate(model, cell.test_ds, tcfg)[0]
+        cell.seed_accs.append(acc)
+        if progress:
+            progress(f"{'/'.join(map(str, cell.key))}/seed{seed}: acc {acc:.3f}")
 
 
 def ablation_csv(cells, tasks):
-    """Table layout: one ladder row per line, one accuracy column per task."""
+    """Table layout: one ladder row per line, one accuracy column per task;
+    each value is the median over seeds."""
     lines = ["row," + ",".join(tasks)]
     for row_name, _ in ABLATION_ROWS:
-        by_task = {c.task: c for c in cells if c.row == row_name}
-        vals = [f"{by_task[t].median:.6f}" for t in tasks if t in by_task]
+        by_task = {c.key[1]: c.seed_accs for c in cells if c.key[0] == row_name}
+        vals = [f"{float(np.median(by_task[t])):.6f}" for t in tasks if t in by_task]
         lines.append(row_name + "," + ",".join(vals))
     return "\n".join(lines) + "\n"
-
-
-@dataclass
-class SweepPoint:
-    variant: str
-    k: int
-    gflops: float
-    seed_accs: list
-
-    @property
-    def mean(self):
-        return float(np.mean(self.seed_accs))
 
 
 def spearman_rank_correlation(xs, ys):
@@ -108,30 +107,14 @@ def spearman_rank_correlation(xs, ys):
     return float((rx * ry).sum() / denom) if denom else 0.0
 
 
-def run_scale_sweep(pairs, train_cfg, train_ds, test_ds, seeds=(0, 1, 2),
-                    input_size=64, progress=None):
-    """Train each (variant, k) with the identical budget; returns SweepPoints
-    sorted by estimated GFLOPs ascending."""
-    points = []
-    for name, k in pairs:
-        cfg = model_mod.build_variant(name, k, input_size=input_size,
-                                      num_classes=train_ds.num_classes)
-        gflops = model_mod.flop_count(cfg)
-        accs = []
-        for seed in seeds:
-            acc = train_once(cfg, train_cfg, train_ds, test_ds, seed)
-            accs.append(acc)
-            if progress:
-                progress(f"{name}/{k}/seed{seed}: acc {acc:.3f}")
-        points.append(SweepPoint(variant=name, k=k, gflops=gflops, seed_accs=accs))
-    return sorted(points, key=lambda p: p.gflops)
-
-
-def sweep_csv(points):
+def sweep_csv(cells):
+    """One line per variant in ascending estimated GFLOPs, with its mean
+    accuracy over seeds, then the Spearman rho between the two."""
+    points = sorted(((model_mod.flop_count(c.cfg), float(np.mean(c.seed_accs)), c.key)
+                     for c in cells), key=lambda p: p[0])
     lines = ["variant,k,gflops,mean_acc"]
-    for p in points:
-        lines.append(f"{p.variant},{p.k},{p.gflops:.6f},{p.mean:.6f}")
-    rho = spearman_rank_correlation([p.gflops for p in points],
-                                    [p.mean for p in points])
+    for gflops, acc, (name, k) in points:
+        lines.append(f"{name},{k},{gflops:.6f},{acc:.6f}")
+    rho = spearman_rank_correlation([p[0] for p in points], [p[1] for p in points])
     lines.append(f"spearman,,,{rho:.6f}")
     return "\n".join(lines) + "\n"

@@ -7,10 +7,10 @@ constant learning rate. Weight init lives in the model (truncated normal
 std 0.02, zero biases, zero final layer). Multi-dataset training samples a
 dataset by weight each step, then a batch uniformly within it.
 
-Randomness is split so batch assembly could run on parallel workers: batch-
-level draws (dataset choice, indices, MixUp) come from one checkpointable
-master generator; per-sample augmentation streams derive from
-(seed, step, index) and are order-independent.
+Batch-level draws (dataset choice, indices, MixUp) come from one
+checkpointable master generator; per-sample augmentation streams derive from
+(seed, step, index), so each sample's augmentation does not depend on the
+order in which the batch is assembled.
 """
 
 from __future__ import annotations

@@ -242,23 +242,47 @@ class TestMalformedInputs:
         (["gen-data", "--task", "detail", "--image-size", "8"], "image size must be >= 10, got 8"),
         (["gen-data", "--task", "detail", "--n", "0"], "sample count must be >= 1, got 0"),
         (["gen-data", "--task", "detail", "--classes", "0"], "supports 2 to 16 classes, got 0"),
-        (["gen-data", "--task", "structure", "--classes", "3"], "structure task is binary")],
+        (["gen-data", "--task", "structure", "--classes", "3"], "structure task is binary"),
+        (["ablate", "--data", "{root}", "--tasks", "data", "--seeds", "0"],
+         "--seeds must be >= 1, got 0"),
+        (["scale-sweep", "--data", "{data}", "--pairs", "S/4", "--seeds", "0"],
+         "--seeds must be >= 1, got 0"),
+        (["ablate", "--data", "{root}", "--tasks", "data", "--batch-size", "0"],
+         "batch_size >= 1 and steps >= 0 required"),
+        (["scale-sweep", "--data", "{data}", "--pairs", "S/4", "--batch-size", "0"],
+         "batch_size >= 1 and steps >= 0 required"),
+        (["scale-sweep", "--data", "{data}", "--pairs", "S/4,S/8", "--steps", "1",
+          "--batch-size", "4"], "input_size 32 not divisible by patch_size * 2^3 = 64")],
         ids=["train_data_weight", "train_data_weight_nan", "train_data_weight_inf",
              "flops_pairs", "scale_sweep_pairs", "explain_tau", "gen_data_size_0",
              "gen_data_size_4", "gen_data_size_8", "gen_data_n_0", "gen_data_classes_0",
-             "gen_data_structure_classes_3"])
+             "gen_data_structure_classes_3", "ablate_seeds_0", "scale_sweep_seeds_0",
+             "ablate_batch_size_0", "scale_sweep_batch_size_0",
+             "scale_sweep_variant_too_coarse"])
     def test_malformed_argument_exit_1(self, workspace, capsys, argv, message):
         tmp_path, model_cfg, train_cfg, data_dir = workspace
-        argv = [a.format(data=data_dir) for a in argv]
+        argv = [a.format(data=data_dir, root=tmp_path) for a in argv]
         if argv[0] != "flops":
-            argv += ["--out", str(tmp_path / "bad"), "--quiet"]
+            argv += ["--out", str(tmp_path / "bad")]
         if argv[0] == "train":
             argv += ["--config", model_cfg, "--train-config", train_cfg]
         rc = cli.main(argv)
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert rc == 1
         assert err.startswith("configuration error:") and message in err
+        assert "/seed" not in out                  # no experiment cell trained
         assert not (tmp_path / "bad").exists()     # refused before writing anything
+
+    @pytest.mark.parametrize("argv", [["ablate", "--data", "nowhere", "--tasks", "interaction"],
+                                      ["scale-sweep", "--data", "nowhere"]],
+                             ids=["ablate", "scale_sweep"])
+    def test_experiment_missing_data_exit_2(self, tmp_path, capsys, argv):
+        argv = [os.path.join(tmp_path, a) if a == "nowhere" else a for a in argv]
+        rc = cli.main(argv + ["--out", str(tmp_path / "bad")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error:") and "no index.csv" in err
+        assert not (tmp_path / "bad").exists()
 
     @pytest.mark.parametrize("command", ["eval", "explain"])
     def test_class_count_mismatch_exit_2(self, workspace, capsys, command):

@@ -147,12 +147,6 @@ class TestGeneratorDeterminism:
         assert a.images.tobytes() == b.images.tobytes()
         assert (a.labels == b.labels).all()
 
-    def test_worker_count_does_not_change_result(self, monkeypatch):
-        base = data.gen_detail_task(8, 4, np.random.default_rng(7))
-        monkeypatch.setenv("PRONEXT_THREADS", "4")
-        threaded = data.gen_detail_task(8, 4, np.random.default_rng(7))
-        assert base.images.tobytes() == threaded.images.tobytes()
-
 
 class TestDatasetIO:
     def test_round_trip(self, tmp_path, structure_ds):

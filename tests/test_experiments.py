@@ -1,6 +1,7 @@
-"""Experiment drivers: the rank correlation behind the scale sweep's claim,
-and a traced training step through the benchmark's tracer, which patches
-package functions by name (`perfbench/tracer.py`, loaded here unmodified)."""
+"""Experiment drivers: the ablation ladder's seed loop and table, the rank
+correlation behind the scale sweep's claim, and a traced training step
+through the benchmark's tracer, which patches package functions by name
+(`perfbench/tracer.py`, loaded here unmodified)."""
 
 import importlib.util
 import os
@@ -10,12 +11,41 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pronext import autodiff, data, gaze, parsers
+from pronext import autodiff, cli, data, gaze, parsers
 from pronext import model as M
 from pronext import train as T
-from pronext.experiments import spearman_rank_correlation
+from pronext.experiments import ABLATION_ROWS, spearman_rank_correlation
 
 TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+
+
+def test_ladder_progress_order_and_median_cells(tmp_path, capsys):
+    """Untrained (0-step) ladder over two tasks and two seeds: one progress
+    line per (row, task, seed) in ladder order, and each table cell is the
+    median of that cell's per-seed accuracies."""
+    tasks = ("detail", "interaction")
+    for i, task in enumerate(tasks):
+        ds = data.generate(task, 8, np.random.default_rng(i), image_size=32, num_classes=4)
+        data.write_dataset(ds, str(tmp_path / "data" / task))
+    out = tmp_path / "ladder"
+    rc = cli.main(["ablate", "--data", str(tmp_path / "data"), "--tasks", ",".join(tasks),
+                   "--steps", "0", "--seeds", "2", "--seed", "7", "--out", str(out)])
+    assert rc == 0
+    progress = [line for line in capsys.readouterr().out.splitlines() if "/seed" in line]
+    labels = [line.split(":")[0] for line in progress]
+    assert labels == [f"{row}/{task}/seed{seed}" for row, _ in ABLATION_ROWS
+                      for task in tasks for seed in (7, 8)]
+    # 2 held-out samples per task: every accuracy is exact at 3 decimals
+    accs = [float(line.rsplit(" ", 1)[1]) for line in progress]
+    table = (out / "ablation.csv").read_text().splitlines()
+    assert table[0] == "row,detail,interaction"
+    assert len(table) == 1 + len(ABLATION_ROWS)
+    for r, line in enumerate(table[1:]):
+        row, *cells = line.split(",")
+        assert row == ABLATION_ROWS[r][0] and len(cells) == len(tasks)
+        for t, cell in enumerate(cells):
+            seed_accs = accs[4 * r + 2 * t:4 * r + 2 * t + 2]
+            assert float(cell) == pytest.approx(np.median(seed_accs), abs=1e-9)
 
 
 class TestSpearman:
