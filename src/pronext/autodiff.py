@@ -536,7 +536,10 @@ def softmax_weighted(x, weights):
     y_s = w_s * exp(x_s) / sum_t w_t * exp(x_t). Binary weights reproduce
     boolean key masking exactly (zero weight -> exactly zero attention);
     smooth weights keep the whole thing differentiable, including w.r.t. the
-    weights themselves. Each row must have positive total weight.
+    weights themselves. Each row must have positive total weight. Only
+    positive-weight entries are exponentiated, so a zero-weight entry far
+    above the rest cannot overflow, and an exactly-zero weight gets a zero
+    weight-gradient.
     """
     w = weights.data if isinstance(weights, Tensor) else np.asarray(weights, dtype=x.dtype)
     w = np.broadcast_to(w, x.shape)
@@ -544,7 +547,7 @@ def softmax_weighted(x, weights):
     finite_max = np.where(w > 0, z, -np.inf).max(axis=-1, keepdims=True)
     if not np.all(np.isfinite(finite_max)):
         raise InputError("softmax_weighted: row with no positive weight")
-    e = np.exp(z - finite_max)
+    e = np.exp(np.where(w > 0, z - finite_max, -np.inf))
     aw = e * w
     S = aw.sum(axis=-1, keepdims=True)
     data = aw / S

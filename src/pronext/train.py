@@ -54,6 +54,12 @@ class TrainConfig:
             raise ConfigError(f"crop must be in 1..resize ({self.resize}), got {self.crop}")
         if self.batch_size < 1 or self.steps < 0:
             raise ConfigError("batch_size >= 1 and steps >= 0 required")
+        for name in ("lr", "weight_decay"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):  # AdamW's bias correction divides by 1 - beta**t
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         return self
 
 

@@ -266,7 +266,7 @@ def test_criterion_4_training_sanity(tmp_path):
     cfg = M.ModelConfig(input_size=32, stem_channels=8, patch_size=4,
                         embed_dim=32, ca_layers=1, ca_heads=4,
                         num_classes=4).validate()
-    ds = data.gen_interaction_task(64, 4, np.random.default_rng(0), image_size=32)
+    ds = data.generate("interaction", 64, np.random.default_rng(0), image_size=32)
 
     # step-0 loss is exactly ln(num_classes) (zero-init head)
     model = M.ProNextModel(cfg, seed=0)

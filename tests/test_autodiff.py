@@ -522,6 +522,24 @@ class TestCrossAttention:
             heads=2, params=params)
         assert out_ones.data.tobytes() == out_none.data.tobytes()
 
+    def test_zero_weight_key_far_above_the_rest_is_excluded(self):
+        # a padding key whose logit sits 200 above every kept key (float32,
+        # where exp overflows past ~88) must still get exactly no attention
+        rng = np.random.default_rng(21)
+        d = 4
+        q = np.abs(rng.standard_normal((3, d))) + 0.5
+        kept = 0.1 * rng.standard_normal((3, d))
+        pad = np.full((1, d), 250.0 * math.sqrt(d) / q.sum(axis=1).min())
+        params = identity_attention_params(d)
+        assert np.all(((q @ pad.T).ravel() - (q @ kept.T).max(axis=1)) / math.sqrt(d) > 200)
+        out_padded = ad.multi_head_cross_attention(
+            ad.Tensor(q), ad.Tensor(np.concatenate([kept, pad])), heads=1, params=params,
+            key_weights=np.array([1, 1, 1, 0], dtype=np.float32))
+        out_kept = ad.multi_head_cross_attention(ad.Tensor(q), ad.Tensor(kept), heads=1,
+                                                 params=params)
+        assert out_padded.data.dtype == np.float32
+        np.testing.assert_allclose(out_padded.data, out_kept.data, rtol=1e-6, atol=1e-7)
+
     def test_gradients(self):
         rng = np.random.default_rng(20)
         with ad.precision("float64"):
@@ -825,6 +843,21 @@ class TestElementwiseAndNorms:
         sub = softmax_oracle(z[:, [0, 1, 3]])
         np.testing.assert_allclose(out.data[:, [0, 1, 3]], sub, rtol=1e-12)
         np.testing.assert_array_equal(out.data[:, [2, 4]], 0.0)
+
+    def test_softmax_weighted_zero_weight_entry_cannot_overflow(self):
+        # exp(100) overflows float32; the zero-weight entry must not turn inf * 0 into nan
+        out = ad.softmax_weighted(ad.Tensor([[0.0, 100.0]], dtype=np.float32), [1.0, 0.0])
+        np.testing.assert_array_equal(out.data, [[1.0, 0.0]])
+
+    def test_softmax_weighted_zero_weight_gets_zero_weight_gradient(self):
+        rng = np.random.default_rng(29)
+        with ad.precision("float64"):
+            z = ad.Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+            w = ad.Tensor([[1.0, 0.0, 0.5, 1.0], [0.0, 0.3, 1.0, 0.0]], requires_grad=True)
+            out = ad.softmax_weighted(z, w)
+            ad.reduce_sum(ad.mul(out, ad.Tensor(rng.standard_normal((2, 4))))).backward()
+        np.testing.assert_array_equal(w.grad[w.data == 0], 0.0)
+        assert np.all(w.grad[w.data > 0] != 0)
 
     def test_softmax_weighted_gradcheck(self):
         rng = np.random.default_rng(27)

@@ -3,10 +3,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from pronext import checkpoint as ckpt
-from pronext import cli
+from pronext import cli, netpbm
 from pronext import model as M
 from pronext import train as T
 
@@ -242,13 +243,16 @@ class TestMalformedInputs:
         (["gen-data", "--task", "detail", "--image-size", "8"], "image size must be >= 10, got 8"),
         (["gen-data", "--task", "detail", "--n", "0"], "sample count must be >= 1, got 0"),
         (["gen-data", "--task", "detail", "--classes", "0"], "supports 2 to 16 classes, got 0"),
-        (["gen-data", "--task", "structure", "--classes", "3"], "structure task is binary"),
+        (["gen-data", "--task", "structure", "--classes", "3"],
+         "structure task supports exactly 2 classes, got 3"),
         (["ablate", "--data", "{root}", "--tasks", "data", "--seeds", "0"],
          "--seeds must be >= 1, got 0"),
         (["scale-sweep", "--data", "{data}", "--pairs", "S/4", "--seeds", "0"],
          "--seeds must be >= 1, got 0"),
         (["ablate", "--data", "{root}", "--tasks", "data", "--batch-size", "0"],
          "batch_size >= 1 and steps >= 0 required"),
+        (["ablate", "--data", "{root}", "--tasks", "data", "--steps", "2", "--lr", "nan"],
+         "lr must be finite, got nan"),
         (["scale-sweep", "--data", "{data}", "--pairs", "S/4", "--batch-size", "0"],
          "batch_size >= 1 and steps >= 0 required"),
         (["scale-sweep", "--data", "{data}", "--pairs", "S/4,S/8", "--steps", "1",
@@ -257,7 +261,7 @@ class TestMalformedInputs:
              "flops_pairs", "scale_sweep_pairs", "explain_tau", "gen_data_size_0",
              "gen_data_size_4", "gen_data_size_8", "gen_data_n_0", "gen_data_classes_0",
              "gen_data_structure_classes_3", "ablate_seeds_0", "scale_sweep_seeds_0",
-             "ablate_batch_size_0", "scale_sweep_batch_size_0",
+             "ablate_batch_size_0", "ablate_lr_nan", "scale_sweep_batch_size_0",
              "scale_sweep_variant_too_coarse"])
     def test_malformed_argument_exit_1(self, workspace, capsys, argv, message):
         tmp_path, model_cfg, train_cfg, data_dir = workspace
@@ -272,6 +276,18 @@ class TestMalformedInputs:
         assert err.startswith("configuration error:") and message in err
         assert "/seed" not in out                  # no experiment cell trained
         assert not (tmp_path / "bad").exists()     # refused before writing anything
+
+    def test_train_mixed_image_sizes_exit_2(self, workspace, capsys):
+        tmp_path, model_cfg, train_cfg, data_dir = workspace
+        netpbm.write_ppm_p6(os.path.join(data_dir, "img_00002.ppm"),
+                            np.zeros((20, 20, 3), dtype=np.uint8))
+        rc = cli.main(["train", "--config", model_cfg, "--train-config", train_cfg,
+                       "--data", data_dir, "--out", str(tmp_path / "bad"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error:")
+        assert "img_00002.ppm is 20x20 pixels, but the first image is 32x32" in err
+        assert not (tmp_path / "bad").exists()
 
     @pytest.mark.parametrize("argv", [["ablate", "--data", "nowhere", "--tasks", "interaction"],
                                       ["scale-sweep", "--data", "nowhere"]],

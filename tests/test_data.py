@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pronext import data, netpbm
-from pronext.errors import DataError, InputError, ParseError
+from pronext.errors import ConfigError, DataError, ParseError
 
 
 def detail_label_rule(cue):
@@ -47,17 +47,17 @@ def factor_ceiling(ds, factor_key):
 
 @pytest.fixture(scope="module")
 def detail_ds():
-    return data.gen_detail_task(40, num_classes=8, rng=np.random.default_rng(0))
+    return data.generate("detail", 40, np.random.default_rng(0), num_classes=8)
 
 
 @pytest.fixture(scope="module")
 def structure_ds():
-    return data.gen_structure_task(40, num_classes=2, rng=np.random.default_rng(1))
+    return data.generate("structure", 40, np.random.default_rng(1))
 
 
 @pytest.fixture(scope="module")
 def interaction_ds():
-    return data.gen_interaction_task(60, num_classes=4, rng=np.random.default_rng(2))
+    return data.generate("interaction", 60, np.random.default_rng(2))
 
 
 class TestDetailTask:
@@ -81,14 +81,10 @@ class TestDetailTask:
 
     def test_channel_mean_classifier_near_chance(self):
         rng = np.random.default_rng(3)
-        train = data.gen_detail_task(160, 8, rng)
-        test = data.gen_detail_task(160, 8, rng)
+        train = data.generate("detail", 160, rng)
+        test = data.generate("detail", 160, rng)
         acc = channel_mean_classifier(train, test)
         assert acc < 1.0 / 8 + 0.12  # no spatial detail -> about chance
-
-    def test_too_many_classes_rejected(self):
-        with pytest.raises(InputError):
-            data.gen_detail_task(2, 17, np.random.default_rng(0))
 
 
 class TestStructureTask:
@@ -106,10 +102,6 @@ class TestStructureTask:
     def test_both_labels_present(self, structure_ds):
         assert set(np.unique(structure_ds.labels)) == {0, 1}
 
-    def test_binary_only(self):
-        with pytest.raises(InputError):
-            data.gen_structure_task(2, 3, np.random.default_rng(0))
-
 
 class TestInteractionTask:
     def test_label_is_factor_pairing(self, interaction_ds):
@@ -126,7 +118,7 @@ class TestInteractionTask:
 
     def test_factor_ceiling_is_half(self):
         rng = np.random.default_rng(4)
-        ds = data.gen_interaction_task(400, 4, rng)
+        ds = data.generate("interaction", 400, rng)
         for key in ("texture", "palette"):
             ceiling = factor_ceiling(ds, key)
             # exact table value; sampling noise only (max over 2 of ~uniform pairs)
@@ -142,10 +134,28 @@ class TestInteractionTask:
 
 class TestGeneratorDeterminism:
     def test_same_seed_same_dataset(self):
-        a = data.gen_interaction_task(10, 4, np.random.default_rng(42))
-        b = data.gen_interaction_task(10, 4, np.random.default_rng(42))
+        a = data.generate("interaction", 10, np.random.default_rng(42))
+        b = data.generate("interaction", 10, np.random.default_rng(42))
         assert a.images.tobytes() == b.images.tobytes()
         assert (a.labels == b.labels).all()
+
+    @pytest.mark.parametrize("task", data.TASKS)
+    def test_first_samples_do_not_depend_on_count(self, task):
+        # one generator per sample: the first k samples of n equal a run of k
+        full = data.generate(task, 6, np.random.default_rng(7), image_size=16)
+        head = data.generate(task, 3, np.random.default_rng(7), image_size=16)
+        for name in ("images", "labels", "boxes", "masks", "masks2"):
+            a, b = getattr(full, name), getattr(head, name)
+            assert (a is None and b is None) or a[:3].tobytes() == b.tobytes()
+        assert full.cues[:3] == head.cues
+
+
+class TestGenerateArguments:
+    @pytest.mark.parametrize("task,classes", [("detail", 17), ("structure", 3),
+                                              ("interaction", 2)])
+    def test_class_count_outside_task_range_is_config_error(self, task, classes):
+        with pytest.raises(ConfigError, match=f"{task} task supports .* classes, got {classes}"):
+            data.generate(task, 2, np.random.default_rng(0), num_classes=classes)
 
 
 class TestDatasetIO:
@@ -183,6 +193,19 @@ class TestDatasetIO:
         index.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="line 5"):
             data.load_dataset(str(out))
+
+    @pytest.mark.parametrize("name,shape", [("img_00002.ppm", (20, 20, 3)),
+                                            ("img_00000_mask.pgm", (20, 20)),
+                                            ("img_00001_mask2.pgm", (16, 20))],
+                             ids=["image", "mask", "inner_mask"])
+    def test_mixed_sizes_are_data_error(self, tmp_path, name, shape):
+        ds = data.generate("structure", 3, np.random.default_rng(5), image_size=16)
+        data.write_dataset(ds, str(tmp_path))
+        write = netpbm.write_ppm_p6 if name.endswith(".ppm") else netpbm.write_pgm_p5
+        write(tmp_path / name, np.zeros(shape, dtype=np.uint8))
+        with pytest.raises(DataError, match=f"{name} is {shape[1]}x{shape[0]} pixels, "
+                                            "but the first image is 16x16"):
+            data.load_dataset(str(tmp_path))
 
     def test_images_are_8bit_quantized(self, interaction_ds):
         scaled = interaction_ds.images * 255.0

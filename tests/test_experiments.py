@@ -89,7 +89,7 @@ def test_benchmark_tracer_patch_points_exist():
     before = {(id(o), name): value for o in owners for name, value in vars(o).items()}
     cfg = M.ModelConfig(input_size=16, stem_channels=2, patch_size=2, embed_dim=8,
                         ca_layers=1, ca_heads=2, num_classes=4).validate()
-    ds = data.gen_interaction_task(4, 4, np.random.default_rng(0), image_size=16)
+    ds = data.generate("interaction", 4, np.random.default_rng(0), image_size=16)
     tcfg = T.TrainConfig(batch_size=2, steps=1, crop=16, resize=16, seed=0)
 
     tracer = _load_tracer().Tracer()

@@ -4,6 +4,7 @@ checkpoint/resume determinism."""
 import itertools
 import math
 import os
+import re
 import struct
 from dataclasses import replace
 
@@ -27,7 +28,7 @@ def tiny_model(seed=0, **overrides):
 
 
 def tiny_dataset(n=32, seed=0, size=16):
-    return data.gen_interaction_task(n, 4, np.random.default_rng(seed), image_size=size)
+    return data.generate("interaction", n, np.random.default_rng(seed), image_size=size)
 
 
 def tiny_train_cfg(**overrides):
@@ -332,7 +333,7 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "parent_step2.ckpt
 
 
 def fixture_dataset():
-    return data.gen_interaction_task(24, 4, np.random.default_rng(6), image_size=16)
+    return data.generate("interaction", 24, np.random.default_rng(6), image_size=16)
 
 
 class TestCheckpointCompatibility:
@@ -692,3 +693,12 @@ class TestTrainConfigFile:
             T.TrainConfig(mixup_alpha=-0.1).validate()
         with pytest.raises(ConfigError):
             T.TrainConfig(crop=64, resize=32).validate()
+
+    @pytest.mark.parametrize("name,value,rule", [
+        *[(name, value, "finite") for name in ("lr", "weight_decay")
+          for value in (float("nan"), float("inf"), float("-inf"))],
+        *[(name, value, "in [0, 1)") for name in ("beta1", "beta2")
+          for value in (float("nan"), float("inf"), 1.0, -0.1)]])
+    def test_optimizer_settings_out_of_range(self, name, value, rule):
+        with pytest.raises(ConfigError, match=re.escape(f"{name} must be {rule}, got {value}")):
+            T.TrainConfig(**{name: value}).validate()
