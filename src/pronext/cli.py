@@ -24,7 +24,6 @@ from . import data as data_mod
 from . import experiments
 from . import explain as explain_mod
 from . import model as model_mod
-from . import parsers
 from . import train as train_mod
 from .errors import ConfigError, DataError, NumericError, ProNextError
 
@@ -122,6 +121,9 @@ def _resolve_configs(args):
         tcfg = train_mod.TrainConfig(crop=cfg.input_size, resize=cfg.input_size)
     if args.seed is not None:
         tcfg = replace(tcfg, seed=args.seed)
+    if tcfg.crop != cfg.input_size:
+        raise ConfigError(f"train config crop {tcfg.crop} does not match the model's "
+                          f"input_size {cfg.input_size}")
     return cfg, tcfg.validate()
 
 
@@ -166,8 +168,8 @@ def cmd_eval(args):
 
 
 def cmd_explain(args):
-    if not 1 <= args.stage <= 3:
-        raise ConfigError(f"stage must be 1..3, got {args.stage}")
+    if not 1 <= args.stage <= model_mod.NUM_STAGES:
+        raise ConfigError(f"stage must be 1..{model_mod.NUM_STAGES}, got {args.stage}")
     if not 0.0 < args.tau < 1.0:
         raise ConfigError(f"tau must be strictly inside (0, 1), got {args.tau}")
     model = train_mod.load_model_from_checkpoint(args.checkpoint)
@@ -175,44 +177,46 @@ def cmd_explain(args):
         raise ConfigError("checkpointed model has no parser; nothing to explain")
     ds = data_mod.load_dataset(args.data)
     _check_classes([ds], model.cfg)
+    size = model.cfg.input_size
+    if ds.image_size != size:   # boxes and masks are in dataset pixels: no resizing
+        raise DataError(f"dataset '{ds.name}' has {ds.image_size}px images, "
+                        f"model expects {size}px")
     start_run(args, args.checkpoint, args.seed)
+
+    logits, probs, binaries = [], [], []
+    for start in range(0, len(ds), 32):
+        pred = explain_mod.predict(model, ds.images[start:start + 32])
+        logits.append(pred.logits.data)
+        probs.append([m.probs for m in pred.stage_masks])
+        binaries.append([m.binary for m in pred.stage_masks])
+    probs = [np.concatenate(p) for p in zip(*probs)]
+    binaries = [np.concatenate(b) for b in zip(*binaries)]
+    maps = explain_mod.score_maps(probs[args.stage - 1], size)
+    # segmentation reads the stage-2 mask, the one that covers the outer structure
+    outer = explain_mod.largest_components(explain_mod.score_maps(probs[1], size) > args.tau)
+
     mask_dir = os.path.join(args.out, "masks")
     score_dir = os.path.join(args.out, "scores")
-    os.makedirs(mask_dir, exist_ok=True)
     os.makedirs(score_dir, exist_ok=True)
+    box_rows, seg = [], []
+    for i, score in enumerate(maps):
+        image_id = f"img_{i:05d}"
+        per_img = os.path.join(mask_dir, image_id)
+        os.makedirs(per_img, exist_ok=True)
+        explain_mod.export_stage_masks([b[i] for b in binaries], per_img)
+        explain_mod.write_score_map(
+            os.path.join(score_dir, f"{image_id}_stage{args.stage}.pgm"), score)
+        x0, y0, x1, y1 = bbox = explain_mod.map_to_bbox(score, args.tau)
+        box_rows.append((image_id, bbox, float(score[y0:y1, x0:x1].max())))
+        seg.append(explain_mod.seg_metrics(outer[i], ds.masks[i]))
 
-    results, scores_rows, seg_iou, seg_dice = [], [], [], []
-    all_class_scores = []
-    batch = 32
-    for start in range(0, len(ds), batch):
-        idx = np.arange(start, min(start + batch, len(ds)))
-        pred = explain_mod.predict(model, ds.images[idx])
-        all_class_scores.append(pred.logits.data.copy())
-        located = explain_mod.localize_batch(pred, model.cfg, args.stage, args.tau)
-        outer = explain_mod.structure_mask(pred, 2, model.cfg, args.tau)
-        results.extend(located)
-        for j, i in enumerate(idx):
-            image_id = f"img_{i:05d}"
-            per_img = os.path.join(mask_dir, image_id)
-            os.makedirs(per_img, exist_ok=True)
-            parsers.export_stage_masks([m.binary[j] for m in pred.stage_masks], per_img)
-            score, bbox = located[j].score_map, located[j].bbox
-            explain_mod.write_score_map(
-                os.path.join(score_dir, f"{image_id}_stage{args.stage}.pgm"), score)
-            scores_rows.append((image_id, bbox,
-                                float(score[bbox[1]:bbox[3], bbox[0]:bbox[2]].max())))
-            sm = explain_mod.seg_metrics(outer[j], ds.masks[i])
-            seg_iou.append(sm["iou"])
-            seg_dice.append(sm["dice"])
-
-    explain_mod.write_boxes_csv(os.path.join(args.out, "boxes.csv"), scores_rows)
-    class_scores = np.concatenate(all_class_scores)
-    gt_boxes = [tuple(b) for b in ds.boxes]
-    loc = explain_mod.loc_metrics(results, gt_boxes, class_scores, ds.labels)
+    explain_mod.write_boxes_csv(os.path.join(args.out, "boxes.csv"), box_rows)
+    loc = explain_mod.loc_metrics(maps, [tuple(b) for b in ds.boxes], np.concatenate(logits),
+                                  ds.labels, args.tau)
     header = "gt_known,top1_loc,top5_loc,max_box_acc_v1,max_box_acc_v2,iou,dice"
     row = (f"{loc['gt_known']:.6f},{loc['top1_loc']:.6f},{loc['top5_loc']:.6f},"
            f"{loc['max_box_acc_v1']:.6f},{loc['max_box_acc_v2']:.6f},"
-           f"{np.mean(seg_iou):.6f},{np.mean(seg_dice):.6f}")
+           f"{np.mean([m['iou'] for m in seg]):.6f},{np.mean([m['dice'] for m in seg]):.6f}")
     with open(os.path.join(args.out, "metrics.csv"), "w", encoding="utf-8") as fh:
         fh.write(header + "\n" + row + "\n")
     print(header)

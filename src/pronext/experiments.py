@@ -89,7 +89,8 @@ def ablation_csv(cells, tasks):
 
 
 def spearman_rank_correlation(xs, ys):
-    """Spearman rho with average ranks on ties."""
+    """Spearman rho with average ranks on ties; nan when either ranking is
+    constant (fewer than two distinct values), where rho is undefined."""
     def ranks(v):
         v = np.asarray(v, dtype=np.float64)
         order = np.argsort(v, kind="stable")
@@ -104,17 +105,18 @@ def spearman_rank_correlation(xs, ys):
     rx -= rx.mean()
     ry -= ry.mean()
     denom = np.sqrt((rx ** 2).sum() * (ry ** 2).sum())
-    return float((rx * ry).sum() / denom) if denom else 0.0
+    return float((rx * ry).sum() / denom) if denom else float("nan")
 
 
 def sweep_csv(cells):
     """One line per variant in ascending estimated GFLOPs, with its mean
-    accuracy over seeds, then the Spearman rho between the two."""
+    accuracy over seeds, then the Spearman rho between the two (an empty
+    cell when rho is undefined)."""
     points = sorted(((model_mod.flop_count(c.cfg), float(np.mean(c.seed_accs)), c.key)
                      for c in cells), key=lambda p: p[0])
     lines = ["variant,k,gflops,mean_acc"]
     for gflops, acc, (name, k) in points:
         lines.append(f"{name},{k},{gflops:.6f},{acc:.6f}")
     rho = spearman_rank_correlation([p[0] for p in points], [p[1] for p in points])
-    lines.append(f"spearman,,,{rho:.6f}")
+    lines.append("spearman,,," + ("" if np.isnan(rho) else f"{rho:.6f}"))
     return "\n".join(lines) + "\n"

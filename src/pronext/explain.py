@@ -1,26 +1,27 @@
-"""Mask-based localization and segmentation, plus the metric suite.
+"""Mask-based localization and segmentation, the metric suite, and every
+file `pronext explain` writes.
 
-Everything here consumes the forward pass's patch masks only; no extra
-training happens. A stage-l patch covers patch_size * 2^(l-1) image pixels
-(the stem preserves resolution), so a stage's patch grid tiles the image
-exactly and its pre-threshold probabilities are bilinearly interpolated up
-to image resolution. Boxes come from thresholding that score map and taking
-the largest 4-connected component's tight bounding box (full-image fallback
-when the threshold empties the map).
+Everything here reads patch probabilities only; no extra training happens.
+A stage's (P, P) grid tiles the S-pixel image (the stem preserves
+resolution), so `score_maps` bilinearly interpolates a batch of grids up to
+image resolution. Any grid works the same way: a trained stage's, an
+untrained model's, or a baseline such as a centred Gaussian. Boxes come from
+thresholding a score map and taking the largest 4-connected component's
+tight bounding box (full-image fallback when the threshold empties the map);
+the segmentation masks are those largest components.
 
 Box convention: (x0, y0, x1, y1), inclusive-exclusive pixel coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import InputError
-from .model import NUM_STAGES
-from .netpbm import write_pgm_p5
+from .netpbm import write_pgm_p2, write_pgm_p5
 from .train import bilinear_resize
 
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
@@ -28,35 +29,38 @@ V1_THRESHOLDS = np.round(np.arange(0.05, 0.951, 0.05), 2)
 V2_IOU_LEVELS = (0.3, 0.5, 0.7)
 
 
-@dataclass
-class LocalizationResult:
-    score_map: np.ndarray      # (H, W) in [0, 1]
-    bbox: tuple                # (x0, y0, x1, y1)
-
-
 # ---------------------------------------------------------------------------
-# mask -> image space
+# probabilities -> image space
 # ---------------------------------------------------------------------------
 
 
-def stage_footprint(cfg, stage):
-    """Image pixels covered by one patch of the given stage (1-based)."""
-    if not 1 <= stage <= NUM_STAGES:
-        raise InputError(f"stage must be in 1..{NUM_STAGES}")
-    return cfg.patch_size * 2 ** (stage - 1)
-
-
-def mask_to_image(m, stage, cfg, sample=0):
-    """A stage's pre-threshold probabilities on the raw image plane: the patch
-    grid bilinearly interpolated up to image resolution, clipped to [0, 1].
-    The grid must tile the image with the stage's footprint."""
-    probs = m.probs[sample]
-    foot = stage_footprint(cfg, stage)
-    if probs.shape[0] * foot != cfg.input_size:
-        raise InputError(f"stage {stage} grid {probs.shape[0]} does not tile "
-                         f"the {cfg.input_size}px image with footprint {foot}")
-    out = bilinear_resize(probs[:, :, None].astype(np.float32), cfg.input_size)[:, :, 0]
+def score_maps(probs, image_size):
+    """(N, P, P) patch probabilities -> (N, S, S) score maps on the image
+    plane: each grid bilinearly interpolated up to S = image_size, clipped to
+    [0, 1]. The grid must tile the image, so P must divide S."""
+    P = probs.shape[-1]
+    if image_size % P:
+        raise InputError(f"a {P}x{P} grid does not tile the {image_size}px image")
+    out = bilinear_resize(probs[..., None].astype(np.float32), image_size)[..., 0]
     return np.clip(out, 0.0, 1.0)
+
+
+def largest_components(hot):
+    """(N, H, W) booleans -> (N, H, W) uint8: each sample's largest
+    4-connected component; an all-False sample stays empty."""
+    return np.stack([_largest_component(h) for h in hot]).astype(np.uint8)
+
+
+def _largest_component(hot):
+    """The largest 4-connected component of a boolean map; ties go to the
+    lowest label, which is the first in scan order."""
+    if not hot.any():
+        return hot
+    from scipy import ndimage      # only mask extraction needs it
+    labels, _ = ndimage.label(hot, structure=FOUR_CONNECTED)
+    sizes = np.bincount(labels.reshape(-1))
+    sizes[0] = 0
+    return labels == int(np.argmax(sizes))
 
 
 def map_to_bbox(score_map, tau):
@@ -88,15 +92,16 @@ def box_iou(a, b):
 # ---------------------------------------------------------------------------
 
 
-def loc_metrics(results, gt_boxes, class_scores, gt_classes):
+def loc_metrics(score_maps, gt_boxes, class_scores, gt_classes, tau):
     """GT-Known / Top-1 / Top-5 localization plus the max-box accuracies.
 
-    results: LocalizationResult list; gt_boxes: (x0, y0, x1, y1) list;
+    score_maps: (N, H, W) maps in [0, 1]; gt_boxes: (x0, y0, x1, y1) list;
     class_scores: (N, K) classification scores; gt_classes: (N,) labels.
-    GT-K and Top-k use each result's stored bbox at IoU 0.5; the max-box
-    variants re-derive boxes from the score maps over the threshold sweep.
+    GT-K and Top-k take each map's `map_to_bbox` box at `tau` and count a hit
+    at IoU 0.5; the max-box variants re-derive the boxes over the threshold
+    sweep.
     """
-    n = len(results)
+    n = len(score_maps)
     if not (len(gt_boxes) == n and len(class_scores) == n and len(gt_classes) == n):
         raise InputError("loc_metrics: input lists must have equal length")
     class_scores = np.asarray(class_scores)
@@ -105,16 +110,16 @@ def loc_metrics(results, gt_boxes, class_scores, gt_classes):
     k = min(5, class_scores.shape[1])
     top5 = np.argsort(-class_scores, axis=1)[:, :k]
 
-    ious = np.array([box_iou(r.bbox, gt) for r, gt in zip(results, gt_boxes)])
+    ious = np.array([box_iou(map_to_bbox(m, tau), gt) for m, gt in zip(score_maps, gt_boxes)])
     known = ious >= 0.5
     gt_k = float(known.mean())
     top1_loc = float((known & (top1 == gt_classes)).mean())
     top5_loc = float((known & (top5 == gt_classes[:, None]).any(axis=1)).mean())
 
     sweep = np.zeros((len(V1_THRESHOLDS), n))
-    for ti, tau in enumerate(V1_THRESHOLDS):
-        for i, (r, gt) in enumerate(zip(results, gt_boxes)):
-            sweep[ti, i] = box_iou(map_to_bbox(r.score_map, tau), gt)
+    for ti, t in enumerate(V1_THRESHOLDS):
+        for i, (m, gt) in enumerate(zip(score_maps, gt_boxes)):
+            sweep[ti, i] = box_iou(map_to_bbox(m, t), gt)
     v1 = float(max((sweep >= 0.5).mean(axis=1)))
     v2 = float(np.mean([max((sweep >= delta).mean(axis=1)) for delta in V2_IOU_LEVELS]))
     return {"gt_known": gt_k, "top1_loc": top1_loc, "top5_loc": top5_loc,
@@ -143,60 +148,24 @@ def seg_metrics(pred_mask, gt_mask):
 
 
 # ---------------------------------------------------------------------------
-# model-driven extraction
+# model forward and exports
 # ---------------------------------------------------------------------------
 
 
 def predict(model, images):
-    """The one gradient-free forward pass the extractions below read."""
+    """The one gradient-free forward pass `pronext explain` reads."""
     with ad.no_grad():
         return model.forward(images.astype(np.float32))
 
 
-def localize_batch(pred, cfg, stage=1, tau=0.5):
-    """Box extraction from the requested stage's masks of one prediction.
-
-    Returns one LocalizationResult per sample: the `mask_to_image` score map
-    and its `map_to_bbox` box. Only the patch masks are read.
-    """
-    m = pred.stage_masks[stage - 1]
-    scores = [mask_to_image(m, stage, cfg, sample=i) for i in range(m.batch)]
-    return [LocalizationResult(score_map=s, bbox=map_to_bbox(s, tau)) for s in scores]
-
-
-def structure_mask(pred, stage, cfg, tau=0.5):
-    """(N, H, W) uint8: the largest 4-connected component of each sample's
-    thresholded stage score map."""
-    m = pred.stage_masks[stage - 1]
-    return np.stack([_largest_component(mask_to_image(m, stage, cfg, sample=i) > tau)
-                     for i in range(m.batch)]).astype(np.uint8)
-
-
-def segment_structures(pred, cfg, tau=0.5):
-    """Outer structure from the stage-2 mask, inner from stage-3.
-
-    The inner mask is intersected with the outer one (containment by
-    construction). Returns (outer (N,H,W), inner (N,H,W)) uint8 arrays.
-    """
-    outer = structure_mask(pred, 2, cfg, tau)
-    return outer, structure_mask(pred, 3, cfg, tau) & outer
-
-
-def _largest_component(hot):
-    """The largest 4-connected component of a boolean map; ties go to the
-    lowest label, which is the first in scan order."""
-    if not hot.any():
-        return hot
-    from scipy import ndimage      # only mask extraction needs it
-    labels, _ = ndimage.label(hot, structure=FOUR_CONNECTED)
-    sizes = np.bincount(labels.reshape(-1))
-    sizes[0] = 0
-    return labels == int(np.argmax(sizes))
-
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
+def export_stage_masks(binaries, out_dir):
+    """Write one plain-text PGM (maxval 1) per stage: mask_stage{l}.pgm."""
+    paths = []
+    for l, mask in enumerate(binaries, start=1):
+        path = os.path.join(out_dir, f"mask_stage{l}.pgm")
+        write_pgm_p2(path, mask.astype(np.uint8), maxval=1)
+        paths.append(path)
+    return paths
 
 
 def write_score_map(path, score_map):

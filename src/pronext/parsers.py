@@ -21,14 +21,12 @@ patch (or demotes the bottom-1), ties resolved by row-major index.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DimensionError
-from .netpbm import write_pgm_p2
 
 STAGES = ("low", "middle", "high")
 
@@ -314,7 +312,7 @@ def spatial_attention_parse(f, k, params, mode="hard"):
 
 
 # ---------------------------------------------------------------------------
-# parameter construction + mask export
+# parameter construction
 # ---------------------------------------------------------------------------
 
 
@@ -331,12 +329,3 @@ def init_sa_parser(rng):
     b = ad.Tensor(np.zeros(1), requires_grad=True)
     return SAParserParams(w=w, b=b)
 
-
-def export_stage_masks(binaries, out_dir):
-    """Write one plain-text PGM (maxval 1) per stage: mask_stage{l}.pgm."""
-    paths = []
-    for l, mask in enumerate(binaries, start=1):
-        path = os.path.join(out_dir, f"mask_stage{l}.pgm")
-        write_pgm_p2(path, mask.astype(np.uint8), maxval=1)
-        paths.append(path)
-    return paths

@@ -69,8 +69,9 @@ class TrainConfig:
 
 
 def bilinear_resize(img, out_side):
-    """Plain numpy bilinear resize of (H, W, C) to (out_side, out_side, C)."""
-    H, W, C = img.shape
+    """Plain numpy bilinear resize of (H, W, C) to (out_side, out_side, C), or
+    of a batch (N, H, W, C) to (N, out_side, out_side, C)."""
+    H, W = img.shape[-3:-1]
     if H == out_side and W == out_side:
         return img
     def grid(n_in, n_out):
@@ -82,8 +83,9 @@ def bilinear_resize(img, out_side):
         return lo, hi, frac
     r0, r1, fr = grid(H, out_side)
     c0, c1, fc = grid(W, out_side)
-    top = img[r0][:, c0] * (1 - fc)[None, :, None] + img[r0][:, c1] * fc[None, :, None]
-    bot = img[r1][:, c0] * (1 - fc)[None, :, None] + img[r1][:, c1] * fc[None, :, None]
+    def across(rows):
+        return rows[..., c0, :] * (1 - fc)[:, None] + rows[..., c1, :] * fc[:, None]
+    top, bot = across(img[..., r0, :, :]), across(img[..., r1, :, :])
     return top * (1 - fr)[:, None, None] + bot * fr[:, None, None]
 
 

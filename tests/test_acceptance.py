@@ -334,10 +334,9 @@ def test_criterion_8_metric_correctness():
     # end-to-end metric definitions on constructed maps
     box_map = np.zeros((16, 16))
     box_map[2:9, 3:10] = 1.0
-    res = [explain.LocalizationResult(box_map, explain.map_to_bbox(box_map, 0.5))]
-    perfect = explain.loc_metrics(res, [(3, 2, 10, 9)], np.eye(2)[:1], [0])
+    perfect = explain.loc_metrics(box_map[None], [(3, 2, 10, 9)], np.eye(2)[:1], [0], 0.5)
     assert all(v == 1.0 for v in perfect.values())
-    wrong_cls = explain.loc_metrics(res, [(3, 2, 10, 9)], np.eye(2)[[1]], [0])
+    wrong_cls = explain.loc_metrics(box_map[None], [(3, 2, 10, 9)], np.eye(2)[[1]], [0], 0.5)
     assert wrong_cls["gt_known"] == 1.0 and wrong_cls["top1_loc"] == 0.0
 
     # ten segmentation cases (counting pixels by hand)

@@ -315,6 +315,34 @@ class TestMalformedInputs:
         assert not (tmp_path / "bad").exists()
 
 
+    def test_explain_other_image_size_exit_2(self, workspace, capsys):
+        # boxes and masks are in dataset pixels, so explain refuses to resize
+        rc, out = run_train(workspace, "run_size")
+        tmp_path, *_ = workspace
+        other = tmp_path / "interaction64"
+        assert cli.main(["gen-data", "--task", "interaction", "--n", "4", "--image-size", "64",
+                         "--out", str(other), "--seed", "2"]) == 0
+        rc = cli.main(["explain", "--checkpoint", str(out / "final.ckpt"), "--data", str(other),
+                       "--out", str(tmp_path / "bad"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error:") and "has 64px images, model expects 32px" in err
+        assert not (tmp_path / "bad").exists()
+
+    def test_train_crop_other_than_input_size_exit_1(self, workspace, capsys):
+        tmp_path, model_cfg, _, data_dir = workspace
+        train_cfg = tmp_path / "crop28.cfg"
+        train_cfg.write_text(M.config_text(T.TrainConfig(batch_size=4, steps=3, crop=28,
+                                                         resize=32, seed=5)))
+        rc = cli.main(["train", "--config", model_cfg, "--train-config", str(train_cfg),
+                       "--data", data_dir, "--out", str(tmp_path / "bad"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("configuration error:")
+        assert "crop 28 does not match the model's input_size 32" in err
+        assert not (tmp_path / "bad").exists()
+
+
 class TestGenData:
     def test_determinism(self, tmp_path):
         for name in ("d1", "d2"):
@@ -348,7 +376,7 @@ class TestScaleSweep:
         assert float(gflops) == pytest.approx(M.flop_count(M.build_variant("S", 4, 32)),
                                               rel=1e-5)
         assert 0.0 <= float(acc) <= 1.0
-        assert lines[2] == "spearman,,,0.000000"      # one point: no ranking
+        assert lines[2] == "spearman,,,"              # one point: rho is undefined
         assert json.loads((out / "manifest.json").read_text())["command"] == "scale-sweep"
 
 

@@ -63,9 +63,12 @@ class TestSpearman:
             pytest.approx(stats.spearmanr(xs, ys).statistic, abs=1e-12)
 
     @pytest.mark.parametrize("xs,ys", [([3.0, 3.0, 3.0], [1.0, 2.0, 3.0]),
-                                       ([1.0, 2.0, 3.0], [0.5, 0.5, 0.5])])
-    def test_constant_input_gives_zero(self, xs, ys):
-        assert spearman_rank_correlation(xs, ys) == 0.0
+                                       ([1.0, 2.0, 3.0], [0.5, 0.5, 0.5]),
+                                       ([2.0], [0.7])])
+    def test_constant_input_gives_nan(self, xs, ys):
+        # rho is undefined without two distinct ranks on each side, as in
+        # scipy.stats.spearmanr; 0 would read as "no correlation"
+        assert np.isnan(spearman_rank_correlation(xs, ys))
 
     def test_monotone_gives_plus_minus_one(self):
         xs = np.array([0.1, 0.5, 2.0, 7.0, 9.5])

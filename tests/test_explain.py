@@ -1,4 +1,4 @@
-"""Localization/segmentation metric oracles and mask-to-image extraction."""
+"""Localization/segmentation metric oracles and probability-grid extraction."""
 
 import os
 import subprocess
@@ -10,11 +10,6 @@ import pytest
 from pronext import explain
 from pronext import model as M
 from pronext.errors import InputError
-
-
-def result_from_map(score_map, tau=0.5):
-    return explain.LocalizationResult(score_map=score_map,
-                                      bbox=explain.map_to_bbox(score_map, tau))
 
 
 def rect_map(H, W, y0, y1, x0, x1, value=1.0):
@@ -82,41 +77,36 @@ class TestMapToBbox:
 
 class TestLocMetrics:
     def make_aligned(self, n=4, H=16):
-        results, gts = [], []
-        for i in range(n):
-            m = rect_map(H, H, 2, 9, 3, 10)
-            results.append(result_from_map(m))
-            gts.append((3, 2, 10, 9))
-        return results, gts
+        maps = np.stack([rect_map(H, H, 2, 9, 3, 10)] * n)
+        return maps, [(3, 2, 10, 9)] * n
 
     def test_perfect_predictions(self):
-        results, gts = self.make_aligned()
+        maps, gts = self.make_aligned()
         scores = np.eye(4)
-        metrics = explain.loc_metrics(results, gts, scores, np.arange(4))
+        metrics = explain.loc_metrics(maps, gts, scores, np.arange(4), 0.5)
         assert metrics == {"gt_known": 1.0, "top1_loc": 1.0, "top5_loc": 1.0,
                            "max_box_acc_v1": 1.0, "max_box_acc_v2": 1.0}
 
     def test_wrong_classes_perfect_boxes(self):
-        results, gts = self.make_aligned()
+        maps, gts = self.make_aligned()
         scores = np.eye(4)[[1, 2, 3, 0]]            # every top-1 wrong
-        metrics = explain.loc_metrics(results, gts, scores, np.arange(4))
+        metrics = explain.loc_metrics(maps, gts, scores, np.arange(4), 0.5)
         assert metrics["gt_known"] == 1.0
         assert metrics["top1_loc"] == 0.0
 
     def test_top5_includes_lower_ranks(self):
-        results, gts = self.make_aligned()
+        maps, gts = self.make_aligned()
         scores = np.zeros((4, 6))
         scores[:, 0] = 5.0                          # top-1 always class 0
         scores[np.arange(4), np.arange(4) + 1] = 4.0
-        metrics = explain.loc_metrics(results, gts, scores, np.arange(1, 5))
+        metrics = explain.loc_metrics(maps, gts, scores, np.arange(1, 5), 0.5)
         assert metrics["top1_loc"] == 0.0
         assert metrics["top5_loc"] == 1.0
 
     def test_small_iou_counts_as_miss(self):
         # unit-cell boxes (0,0,2,2) vs (1,1,3,3): IoU = 1/7 < 0.5
-        m = rect_map(8, 8, 0, 2, 0, 2)
-        res = [result_from_map(m)]
-        metrics = explain.loc_metrics(res, [(1, 1, 3, 3)], np.eye(2)[:1], [0])
+        maps = rect_map(8, 8, 0, 2, 0, 2)[None]
+        metrics = explain.loc_metrics(maps, [(1, 1, 3, 3)], np.eye(2)[:1], [0], 0.5)
         assert metrics["gt_known"] == 0.0
 
     def test_v1_sweep_recovers_threshold_sensitive_box(self):
@@ -124,37 +114,34 @@ class TestLocMetrics:
         m = np.zeros((12, 12))
         m[2:8, 2:8] = 0.6
         m[0:12, 0:2] = 0.25                        # low-value distractor strip
-        res = [explain.LocalizationResult(score_map=m, bbox=(0, 0, 12, 12))]
-        metrics = explain.loc_metrics(res, [(2, 2, 8, 8)], np.eye(2)[:1], [0])
-        assert metrics["gt_known"] == 0.0           # stored box is the full image
+        metrics = explain.loc_metrics(m[None], [(2, 2, 8, 8)], np.eye(2)[:1], [0], 0.2)
+        assert metrics["gt_known"] == 0.0           # tau 0.2 joins square and strip
         assert metrics["max_box_acc_v1"] == 1.0     # some tau isolates the square
 
     def test_v2_averages_iou_levels(self):
         # box with IoU ~ 0.39 vs gt: hits delta=0.3, misses 0.5 and 0.7
-        m = rect_map(16, 16, 0, 8, 0, 8)
-        res = [result_from_map(m)]
+        maps = rect_map(16, 16, 0, 8, 0, 8)[None]
         gt = [(2, 2, 10, 10)]
-        metrics = explain.loc_metrics(res, gt, np.eye(2)[:1], [0])
+        metrics = explain.loc_metrics(maps, gt, np.eye(2)[:1], [0], 0.5)
         iou = explain.box_iou((0, 0, 8, 8), gt[0])
         assert 0.3 <= iou < 0.5
         assert metrics["max_box_acc_v2"] == pytest.approx(1.0 / 3.0)
 
     def test_v1_at_least_gt_known_for_default_tau(self):
         rng = np.random.default_rng(1)
-        results, gts = [], []
+        maps = rng.random((12, 16, 16))
+        gts = []
         for _ in range(12):
-            m = rng.random((16, 16))
-            results.append(result_from_map(m, tau=0.5))
             x0, y0 = rng.integers(0, 8, 2)
             gts.append((int(x0), int(y0), int(x0) + 8, int(y0) + 8))
         scores = rng.random((12, 3))
-        metrics = explain.loc_metrics(results, gts, scores, rng.integers(0, 3, 12))
+        metrics = explain.loc_metrics(maps, gts, scores, rng.integers(0, 3, 12), 0.5)
         assert metrics["max_box_acc_v1"] >= metrics["gt_known"] - 1e-12
 
     def test_length_mismatch(self):
-        res = [result_from_map(rect_map(4, 4, 0, 2, 0, 2))]
+        maps = rect_map(4, 4, 0, 2, 0, 2)[None]
         with pytest.raises(InputError):
-            explain.loc_metrics(res, [(0, 0, 2, 2), (0, 0, 2, 2)], np.eye(2)[:1], [0])
+            explain.loc_metrics(maps, [(0, 0, 2, 2), (0, 0, 2, 2)], np.eye(2)[:1], [0], 0.5)
 
 
 class TestSegMetrics:
@@ -203,51 +190,62 @@ class TestSegMetrics:
 
 
 class TestMaskToImage:
-    def setup_method(self):
-        self.cfg = M.ModelConfig(input_size=32, stem_channels=8, patch_size=4,
-                                 embed_dim=64, ca_layers=1, ca_heads=4).validate()
-
-    def fake_mask(self, probs):
-        from pronext import parsers, autodiff as ad
-        probs = probs[None].astype(np.float32)
-        binary = (probs > 0.5).astype(np.float32)
-        return parsers.PatchMask(probs=probs, binary=binary, mask=ad.Tensor(binary))
+    """`score_maps`: patch-probability grids onto the 32 px image plane."""
 
     def test_uniform_probs_paint_uniformly(self):
-        m = self.fake_mask(np.full((8, 8), 0.7))
-        out = explain.mask_to_image(m, 1, self.cfg)
-        assert out.shape == (32, 32)
+        out = explain.score_maps(np.full((2, 8, 8), 0.7), 32)
+        assert out.shape == (2, 32, 32)
         np.testing.assert_allclose(out, 0.7, atol=1e-6)
 
     def test_single_patch_spreads_half_a_footprint(self):
         # footprint 4: pixel centers up to half a patch from the patch center
         # hold its full value, the interpolation reaches half a patch past its
         # square, and beyond that the map is zero
-        probs = np.zeros((8, 8))
-        probs[0, 0] = 1.0
-        out = explain.mask_to_image(self.fake_mask(probs), 1, self.cfg)
+        probs = np.zeros((1, 8, 8))
+        probs[0, 0, 0] = 1.0
+        out = explain.score_maps(probs, 32)[0]
         assert out[:2, :2].min() == 1.0
         np.testing.assert_allclose(out[0, :7], [1, 1, 0.875, 0.625, 0.375, 0.125, 0])
         assert out[6:, :].max() == 0.0 and out[:, 6:].max() == 0.0
 
     def test_footprint_doubles_per_stage(self):
-        assert explain.stage_footprint(self.cfg, 1) == 4
-        assert explain.stage_footprint(self.cfg, 2) == 8
-        assert explain.stage_footprint(self.cfg, 3) == 16
-        for stage, P in ((1, 8), (2, 4), (3, 2)):
-            m = self.fake_mask(np.full((P, P), 0.5))
-            out = explain.mask_to_image(m, stage, self.cfg)
+        # the stage grids 8, 4, 2 of a 32 px image: a hot corner patch holds
+        # its full value over the first half of its S / P footprint
+        for P, foot in ((8, 4), (4, 8), (2, 16)):
+            probs = np.zeros((1, P, P))
+            probs[0, 0, 0] = 1.0
+            out = explain.score_maps(probs, 32)[0]
             assert out.shape == (32, 32)
+            assert out[0, foot // 2 - 1] == 1.0 and out[0, foot // 2] < 1.0
 
-    def test_stage_bounds(self):
-        m = self.fake_mask(np.full((8, 8), 0.5))
-        with pytest.raises(InputError):
-            explain.mask_to_image(m, 4, self.cfg)
+    def test_grid_must_tile_the_image(self):
+        with pytest.raises(InputError, match="does not tile"):
+            explain.score_maps(np.full((1, 3, 3), 0.5), 32)
+        with pytest.raises(InputError, match="does not tile"):
+            explain.score_maps(np.full((1, 64, 64), 0.5), 32)
 
     def test_values_clipped(self):
-        probs = np.full((8, 8), 0.999)
-        out = explain.mask_to_image(self.fake_mask(probs), 1, self.cfg)
+        out = explain.score_maps(np.full((1, 8, 8), 0.999), 32)
         assert out.max() <= 1.0 and out.min() >= 0.0
+
+
+class TestLargestComponents:
+    def test_one_component_per_sample(self):
+        # the same pixel hot in every sample is one component per sample;
+        # an all-False sample stays empty
+        hot = np.zeros((4, 4, 4), dtype=bool)
+        hot[:3, 1, 1] = True
+        hot[1, 2:, 2:] = True                       # sample 1 has a larger one
+        got = explain.largest_components(hot)
+        assert got.dtype == np.uint8 and got.shape == hot.shape
+        assert got[0].sum() == got[2].sum() == 1 and got[1].sum() == 4
+        assert got[1, 1, 1] == 0 and not got[3].any()
+
+    def test_ties_go_to_first_in_scan_order(self):
+        hot = np.zeros((2, 4, 4), dtype=bool)
+        hot[:, 0, 3] = hot[:, 3, 0] = True
+        got = explain.largest_components(hot)
+        assert got[:, 0, 3].all() and not got[:, 3, 0].any()
 
 
 class TestModelExtraction:
@@ -259,26 +257,24 @@ class TestModelExtraction:
         rng = np.random.default_rng(3)
         images = rng.random((3, 32, 32, 3)).astype(np.float32)
         pred = explain.predict(model, images)
-        results = explain.localize_batch(pred, cfg, stage=1)
-        assert len(results) == 3 and pred.logits.shape == (3, 4)
-        for r in results:
-            assert r.score_map.shape == (32, 32)
-            x0, y0, x1, y1 = r.bbox
-            assert 0 <= x0 < x1 <= 32 and 0 <= y0 < y1 <= 32
-        outer, inner = explain.segment_structures(pred, cfg)
-        assert outer.shape == (3, 32, 32) and inner.shape == (3, 32, 32)
-        assert not (inner & ~outer).any()           # containment enforced
+        assert pred.logits.shape == (3, 4)
+        for m in pred.stage_masks:
+            maps = explain.score_maps(m.probs, 32)
+            assert maps.shape == (3, 32, 32)
+            for score in maps:
+                x0, y0, x1, y1 = explain.map_to_bbox(score, 0.5)
+                assert 0 <= x0 < x1 <= 32 and 0 <= y0 < y1 <= 32
+            seg = explain.largest_components(maps > 0.5)
+            assert seg.shape == (3, 32, 32) and set(np.unique(seg)) <= {0, 1}
 
     def test_deterministic_rerun(self):
         cfg = M.ModelConfig(input_size=32, stem_channels=4, patch_size=4,
                             embed_dim=16, ca_layers=1, ca_heads=2).validate()
         model = M.ProNextModel(cfg, seed=1)
         images = np.random.default_rng(4).random((2, 32, 32, 3)).astype(np.float32)
-        a = explain.localize_batch(explain.predict(model, images), cfg)
-        b = explain.localize_batch(explain.predict(model, images), cfg)
-        for ra, rb in zip(a, b):
-            assert ra.bbox == rb.bbox
-            assert ra.score_map.tobytes() == rb.score_map.tobytes()
+        a, b = (explain.score_maps(explain.predict(model, images).stage_masks[0].probs, 32)
+                for _ in range(2))
+        assert a.tobytes() == b.tobytes()
 
 
 class TestExports:
@@ -297,6 +293,17 @@ class TestExports:
         lines = path.read_text().splitlines()
         assert lines[0] == "img_0,1,2,3,4,0.500000"
         assert lines[1] == "img_1,0,0,8,8,1.000000"
+
+    def test_stage_masks_pgm_p2_round_trip(self, tmp_path):
+        rng = np.random.default_rng(17)
+        masks = [rng.integers(0, 2, size=(4, 4)) for _ in range(3)]
+        paths = explain.export_stage_masks(masks, str(tmp_path))
+        assert all(p.endswith(f"mask_stage{i}.pgm") for i, p in enumerate(paths, 1))
+        for mask, path in zip(masks, paths):
+            tokens = open(path, encoding="ascii").read().split()
+            assert tokens[:4] == ["P2", "4", "4", "1"]
+            np.testing.assert_array_equal(np.array(tokens[4:], dtype=np.int64).reshape(4, 4),
+                                          mask)
 
 
 def test_cli_import_leaves_ndimage_unloaded():

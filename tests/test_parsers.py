@@ -400,24 +400,3 @@ class TestSpatialAttentionParse:
         feats = np.stack([pooled.mean(axis=-1), pooled.max(axis=-1)], axis=-1)
         logits = feats @ params.w.data[0, 0, :, 0] + params.b.data[0]
         np.testing.assert_allclose(m.probs, 1.0 / (1.0 + np.exp(-logits)), rtol=1e-10)
-
-
-def read_pgm_p2(path):
-    """Pixels of a plain PGM (P2) file as written by `netpbm.write_pgm_p2`."""
-    with open(path, encoding="ascii") as fh:
-        tokens = fh.read().split()
-    w, h = int(tokens[1]), int(tokens[2])
-    return np.array(tokens[4:], dtype=np.int64).reshape(h, w)
-
-
-class TestMaskExport:
-    def test_pgm_p2_round_trip(self, tmp_path):
-        rng = np.random.default_rng(17)
-        masks = [rng.integers(0, 2, size=(4, 4)) for _ in range(3)]
-        paths = parsers.export_stage_masks(masks, str(tmp_path))
-        assert [p.endswith(f"mask_stage{i}.pgm") for i, p in enumerate(paths, 1)]
-        for mask, path in zip(masks, paths):
-            np.testing.assert_array_equal(read_pgm_p2(path), mask)
-        with open(paths[0]) as fh:
-            header = fh.read().split()
-        assert header[0] == "P2" and header[3] == "1"

@@ -31,6 +31,25 @@ def tiny_dataset(n=32, seed=0, size=16):
     return data.generate("interaction", n, np.random.default_rng(seed), image_size=size)
 
 
+def bilinear_resize_one(img, out_side):
+    """Reference: the unbatched (H, W, C) bilinear resize, one image at a time."""
+    H, W, C = img.shape
+    if H == out_side and W == out_side:
+        return img
+    def grid(n_in, n_out):
+        src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+        src = np.clip(src, 0, n_in - 1)
+        lo = np.floor(src).astype(np.int64)
+        hi = np.minimum(lo + 1, n_in - 1)
+        frac = (src - lo).astype(img.dtype)
+        return lo, hi, frac
+    r0, r1, fr = grid(H, out_side)
+    c0, c1, fc = grid(W, out_side)
+    top = img[r0][:, c0] * (1 - fc)[None, :, None] + img[r0][:, c1] * fc[None, :, None]
+    bot = img[r1][:, c0] * (1 - fc)[None, :, None] + img[r1][:, c1] * fc[None, :, None]
+    return top * (1 - fr)[:, None, None] + bot * fr[:, None, None]
+
+
 def tiny_train_cfg(**overrides):
     base = dict(batch_size=4, steps=4, lr=1e-3, mixup_alpha=0.2,
                 crop=16, resize=16, hflip_prob=0.5, seed=0)
@@ -106,6 +125,19 @@ class TestAugment:
         img = np.full((10, 10, 3), 0.37, dtype=np.float32)
         out = T.bilinear_resize(img, 7)
         np.testing.assert_allclose(out, 0.37, rtol=1e-6)
+
+    @pytest.mark.parametrize("shape,side", [((5, P, P, 1), S) for P in (2, 4, 8, 16)
+                                            for S in (16, 32, 64) if P <= S]
+                             + [((4, 64, 64, 3), 32), ((4, 32, 32, 3), 64),
+                                ((3, 20, 20, 3), 7), ((3, 10, 10, 3), 13)])
+    def test_batch_bit_identical_to_per_image_loop(self, shape, side):
+        imgs = np.random.default_rng(sum(shape) + side).random(shape).astype(np.float32)
+        batch = T.bilinear_resize(imgs, side)
+        assert batch.shape == (shape[0], side, side, shape[3])
+        want = np.stack([bilinear_resize_one(img, side) for img in imgs])
+        assert batch.tobytes() == want.tobytes()
+        for img, out in zip(imgs, batch):
+            assert T.bilinear_resize(img, side).tobytes() == out.tobytes()
 
 
 class TestAdamW:
