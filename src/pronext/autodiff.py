@@ -10,6 +10,12 @@ H and W), and the pointwise glue the model uses. Training runs in float32;
 gradient checking switches the default dtype to float64 via the `precision`
 context manager.
 
+A graph is single-use. `Tensor.backward` releases each op node as soon as
+its closure has run: the node's gradient, closure and parent links go, so
+intermediate gradients and the arrays the closures saved are freed during the
+sweep, not after it. Only leaves keep `.grad`; a second backward that reaches
+a consumed op node raises GraphError.
+
 All image-like tensors are channels-last. Spatial kernels accept either a
 single sample (H, W, C) or a batch (B, H, W, C); single samples are promoted
 to a batch of one internally and squeezed on the way out. Attention takes
@@ -85,7 +91,7 @@ class Tensor:
     """Dense real array participating in the reverse-mode graph."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op",
-                 "_backward_done")
+                 "_backward_done", "__weakref__")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = np.asarray(data, dtype=dtype or _DTYPE)
@@ -122,15 +128,23 @@ class Tensor:
         return f"Tensor(op={self._op}, shape={self.shape}, grad={self.requires_grad})"
 
     def backward(self, grad=None):
-        """Reverse-topological sweep from this tensor.
+        """Reverse-topological sweep from this tensor; the graph is single-use.
 
-        Each op node is visited exactly once. Calling backward a second time
-        on the same graph is an error; run a fresh forward pass instead.
+        Each op node is visited exactly once and released right after its
+        closure has run: its `.grad`, closure and parent links are cleared,
+        so intermediate gradients and saved arrays die as the sweep passes
+        them. Only leaves keep `.grad`. A backward that reaches an op node an
+        earlier backward consumed (this root again, or a subgraph shared with
+        another root) raises GraphError before anything changes; run a fresh
+        forward pass instead.
         """
         if not self.requires_grad:
             raise GraphError("backward() on a tensor that does not require grad")
-        if self._backward_done:
-            raise GraphError("backward() already ran for this graph; run a new forward pass")
+        order = topo_order(self)
+        for node in order:
+            if node._backward_done:
+                raise GraphError(f"backward() reached op '{node._op}', which an earlier "
+                                 "backward consumed; run a new forward pass")
         if not np.all(np.isfinite(self.data)):
             raise NumericError(f"non-finite values in backward root (op={self._op})")
         if grad is None:
@@ -140,10 +154,17 @@ class Tensor:
             if grad.shape != self.data.shape:
                 raise DimensionError("seed gradient shape differs from tensor shape")
         self.grad = grad
-        for node in reversed(topo_order(self)):
+        while order:
+            node = order.pop()
+            step = node._backward
+            if step is None:                  # a leaf or a constant: keeps .grad
+                continue
+            g = node.grad
+            node.grad = node._backward = None
+            node._parents = ()
             node._backward_done = True
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if g is not None:
+                step(g)
 
 
 def _as_tensor(x):
@@ -609,6 +630,20 @@ def _im2col(xp, kh, kw, Ho, Wo):
     return np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides)
 
 
+def _pad_hw(x, ph, pw):
+    """Zero-pad axes 1 and 2 of (B, H, W, C): copy the interior into an empty
+    array and zero only the border (np.pad's per-call setup costs more than
+    the copy on small maps)."""
+    B, H, W, C = x.shape
+    out = np.empty((B, H + 2 * ph, W + 2 * pw, C), dtype=x.dtype)
+    out[:, ph:ph + H, pw:pw + W] = x
+    out[:, :ph] = 0
+    out[:, ph + H:] = 0
+    out[:, ph:ph + H, :pw] = 0
+    out[:, ph:ph + H, pw + W:] = 0
+    return out
+
+
 def conv2d(x, w, b=None, stride=1, padding=0):
     """2-D convolution (cross-correlation), channels-last, stride 1.
 
@@ -628,28 +663,33 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     Ho = H + 2 * padding - kh + 1
     Wo = W + 2 * padding - kw + 1
 
-    xp = np.pad(xb.data, ((0, 0), (padding, padding), (padding, padding), (0, 0))) \
-        if padding else xb.data
-    cols = np.ascontiguousarray(_im2col(xp, kh, kw, Ho, Wo))
-    cols2 = cols.reshape(B * Ho * Wo, kh * kw * C)
-    w2 = w.data.reshape(kh * kw * C, Cout)
-    out = cols2 @ w2
+    xp = _pad_hw(xb.data, padding, padding) if padding else xb.data
+
+    def cols():
+        """The im2col matrix (B*Ho*Wo, kh*kw*C), tap-major like w's rows."""
+        cols = np.ascontiguousarray(_im2col(xp, kh, kw, Ho, Wo))
+        return cols.reshape(B * Ho * Wo, kh * kw * C)
+
+    out = cols() @ w.data.reshape(kh * kw * C, Cout)
     if b is not None:
         out = out + b.data
     data = out.reshape(B, Ho, Wo, Cout)
 
+    # the graph keeps only xp: backward rebuilds the same im2col matrix for
+    # the weight gradient, and the input gradient is one GEMM per tap added
+    # in tap order, never a 9x-size column gradient
     def backward(g):
         g2 = g.reshape(B * Ho * Wo, Cout)
         if w.requires_grad:
-            _accum(w, (cols2.T @ g2).reshape(w.shape))
+            _accum(w, (cols().T @ g2).reshape(w.shape))
         if b is not None and b.requires_grad:
             _accum(b, g2.sum(axis=0))
         if xb.requires_grad:
-            gcols = (g2 @ w2.T).reshape(B, Ho, Wo, kh, kw, C)
             gxp = np.zeros_like(xp)
             for i in range(kh):
                 for j in range(kw):
-                    gxp[:, i:i + Ho, j:j + Wo, :] += gcols[:, :, :, i, j, :]
+                    tap = g2 @ w.data[i, j].T
+                    gxp[:, i:i + Ho, j:j + Wo, :] += tap.reshape(B, Ho, Wo, C)
             if padding:
                 gxp = gxp[:, padding:padding + H, padding:padding + W, :]
             _accum(xb, gxp)
@@ -670,7 +710,7 @@ def depthwise_conv2d(x, w, b=None):
     if Cw != C:
         raise DimensionError("depthwise_conv2d: channel mismatch")
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(xb.data, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    xp = _pad_hw(xb.data, ph, pw)
     cols = _im2col(xp, kh, kw, H, W)
     data = np.einsum("bhwijc,ijc->bhwc", cols, w.data, optimize=True)
     if b is not None:
@@ -835,11 +875,11 @@ def deformable_conv2d(x, w, b, offset_w, offset_b):
     offsets = conv2d(xb, offset_w, offset_b, padding=ph)
     offsets = reshape(offsets, (B, H * W * kh * kw, 2))
 
-    ii, jj = np.meshgrid(np.arange(H), np.arange(W), indexing="ij")
-    dy, dx = np.meshgrid(np.arange(kh) - ph, np.arange(kw) - pw, indexing="ij")
-    base_r = (ii.reshape(-1, 1) + dy.reshape(1, -1)).reshape(-1)
-    base_c = (jj.reshape(-1, 1) + dx.reshape(1, -1)).reshape(-1)
-    base = np.stack([base_r, base_c], axis=1)[None].astype(xb.dtype)
+    # (row, col) of every (position, tap), ordered (h, w, i, j) like offsets
+    base = np.empty((H, W, kh, kw, 2), dtype=xb.dtype)
+    base[..., 0] = np.arange(H)[:, None, None, None] + (np.arange(kh) - ph)[:, None]
+    base[..., 1] = np.arange(W)[:, None, None] + (np.arange(kw) - pw)
+    base = base.reshape(1, H * W * kh * kw, 2)
 
     coords = add(offsets, Tensor(base, dtype=xb.dtype))
     samples = bilinear_sample(xb, coords)                     # (B, H*W*kh*kw, C)

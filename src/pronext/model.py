@@ -356,13 +356,16 @@ def loss_and_grads(model, pred, target):
     """Cross-entropy loss plus a full backward pass through all parameters.
 
     Returns (loss tensor, {name: gradient array}). Parameters with no path to
-    the loss (e.g. parser weights when the mask saturates) map to zeros.
+    the loss (e.g. parser weights when the mask saturates) map to zeros. The
+    returned dict is the only holder of the gradients: the parameters keep no
+    `.grad`, so nothing stale lives on into the next forward pass.
     """
     loss = ad.softmax_cross_entropy(pred.logits, target)
     model.zero_grad()
     loss.backward()
     grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
              for name, t in model.params.items()}
+    model.zero_grad()
     return loss, grads
 
 

@@ -6,13 +6,18 @@ the kernel under test.
 """
 
 import math
+import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pronext import autodiff as ad
 from pronext import model as M
+from pronext.cli import _desk_ablation_config
 from pronext.errors import DimensionError, GraphError, InputError
+from pronext.experiments import ABLATION_ROWS
 from pronext.gradcheck import grad_check
 
 
@@ -37,6 +42,32 @@ def conv2d_oracle(x, w, b=None, stride=1, padding=0):
     if b is not None:
         out += b
     return out
+
+
+def conv2d_im2col_oracle(x, w, b, padding, g):
+    """The 9x-matrix conv2d: forward and weight gradient through the full
+    im2col matrix, input gradient as one GEMM into a column gradient of the
+    same size, scattered back tap by tap. x (B, H, W, C), g (B, Ho, Wo, C').
+    Returns (output, weight gradient, bias gradient, input gradient)."""
+    B, H, W, C = x.shape
+    kh, kw, _, Cout = w.shape
+    p = padding
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    Ho, Wo = H + 2 * p - kh + 1, W + 2 * p - kw + 1
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(B * Ho * Wo, -1)
+    w2 = w.reshape(kh * kw * C, Cout)
+    out = cols @ w2
+    if b is not None:
+        out = out + b
+    g2 = g.reshape(B * Ho * Wo, Cout)
+    gcols = (g2 @ w2.T).reshape(B, Ho, Wo, kh, kw, C)
+    gxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, i:i + Ho, j:j + Wo, :] += gcols[:, :, :, i, j, :]
+    return (out.reshape(B, Ho, Wo, Cout), (cols.T @ g2).reshape(w.shape), g2.sum(axis=0),
+            gxp[:, p:p + H, p:p + W, :])
 
 
 def bilinear_oracle(f, r, c):
@@ -101,6 +132,37 @@ def identity_attention_params(d, dtype=np.float64):
 # ---------------------------------------------------------------------------
 
 
+def _model_conv_shapes():
+    """(B, H, W, C, kh, kw, C', padding, bias) of every conv2d call, offset
+    convs included, in the forward of S/8 at 64 px (B=8), of every ladder row
+    of the desk config (B=16) and of the criterion-1 model (B=2), plus the
+    criterion-1 kernel checks' conv and deformable conv."""
+    shapes = {(1, 7, 7, 3, 3, 3, 4, 1, True), (1, 6, 6, 2, 3, 3, 18, 1, True)}
+    real = ad.conv2d
+
+    def recording(x, w, b=None, stride=1, padding=0):
+        kh, kw, _, cout = w.shape
+        shapes.add((batch,) + x.shape[-3:] + (kh, kw, cout, padding, b is not None))
+        return real(x, w, b, stride, padding)
+
+    desk = _desk_ablation_config(4, 32)
+    tiny = M.ModelConfig(input_size=16, stem_channels=2, patch_size=2, embed_dim=8,
+                         ca_layers=1, ca_heads=2, num_classes=4).validate()
+    runs = [(M.build_variant("S", 8), 8)]
+    runs += [(replace(desk, **overrides).validate(), 16)
+             for _, overrides in ABLATION_ROWS]
+    runs += [(tiny, 2)]
+    ad.conv2d = recording
+    try:
+        for cfg, batch in runs:
+            x = np.zeros((1, cfg.input_size, cfg.input_size, cfg.in_channels), dtype=np.float32)
+            with ad.no_grad():
+                M.ProNextModel(cfg, seed=0).forward(x)
+    finally:
+        ad.conv2d = real
+    return sorted(shapes)
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
@@ -146,6 +208,41 @@ class TestConv2d:
             single = np.stack([ad.conv2d(ad.Tensor(xs[i]), ad.Tensor(w), padding=1).data
                                for i in range(4)])
         np.testing.assert_array_equal(batched, single)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_full_im2col_formulation(self, dtype):
+        rng = np.random.default_rng(4)
+        shapes = _model_conv_shapes()
+        assert len(shapes) > 20
+        for B, H, W, C, kh, kw, Cout, padding, bias in shapes:
+            x = ad.Tensor(rng.standard_normal((B, H, W, C)), requires_grad=True, dtype=dtype)
+            w = ad.Tensor(rng.standard_normal((kh, kw, C, Cout)) * 0.2, requires_grad=True,
+                          dtype=dtype)
+            b = ad.Tensor(rng.standard_normal(Cout), requires_grad=True, dtype=dtype) \
+                if bias else None
+            out = ad.conv2d(x, w, b, padding=padding)
+            g = rng.standard_normal(out.shape).astype(dtype)
+            want = conv2d_im2col_oracle(x.data, w.data, None if b is None else b.data,
+                                        padding, g)
+            out.backward(g)
+            got = (out.data, w.grad, want[2] if b is None else b.grad, x.grad)
+            for name, a, e in zip(("out", "w", "b", "x"), got, want):
+                assert a.dtype == dtype and a.tobytes() == e.tobytes(), \
+                    f"{name} differs on x {x.shape}, w {w.shape}, padding {padding}"
+
+    def test_graph_keeps_no_im2col_matrix(self):
+        rng = np.random.default_rng(5)
+        x = ad.Tensor(rng.standard_normal((8, 16, 16, 8)), requires_grad=True)
+        w = ad.Tensor(rng.standard_normal((3, 3, 8, 8)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.conv2d(x, w, padding=1)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the output and the padded input; the im2col matrix alone is 9x the input
+        assert kept < 3 * (x.data.nbytes + out.data.nbytes)
 
     def test_shape_errors(self):
         x = ad.Tensor(np.zeros((4, 4, 2)))
@@ -754,6 +851,38 @@ class TestGraphMechanics:
         y.backward()
         with pytest.raises(GraphError):
             y.backward()
+
+    def test_second_backward_through_a_consumed_subgraph_is_an_error(self):
+        x = ad.Tensor(np.array(3.0), requires_grad=True, dtype=np.float64)
+        s = ad.mul(x, x)
+        y1 = ad.reduce_sum(s)
+        y2 = ad.reduce_sum(ad.mul_const(s, 10))
+        y1.backward()
+        # replaying s's stale gradient would read 72, a released s 6; the
+        # right value is 66, which takes a fresh forward pass
+        with pytest.raises(GraphError, match="'mul'"):
+            y2.backward()
+        assert x.grad == 6.0
+
+    def test_separate_graphs_accumulate_on_a_shared_leaf(self):
+        x = ad.Tensor(np.array(3.0), requires_grad=True, dtype=np.float64)
+        ad.reduce_sum(ad.mul(x, x)).backward()
+        ad.reduce_sum(ad.mul_const(x, 10)).backward()
+        assert x.grad == 16.0
+
+    def test_backward_releases_the_graph_and_leaves_keep_grads(self):
+        rng = np.random.default_rng(6)
+        x = ad.Tensor(rng.standard_normal((2, 6, 6, 3)), requires_grad=True)
+        w = ad.Tensor(rng.standard_normal((3, 3, 3, 4)), requires_grad=True)
+        h = ad.gelu(ad.conv2d(x, w, padding=1))
+        inner = weakref.ref(h)
+        y = ad.reduce_sum(h)
+        del h
+        assert inner() is not None
+        y.backward()
+        assert inner() is None
+        assert y.grad is None and y._parents == ()
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
     def test_diamond_graph_visits_each_op_once(self):
         x = ad.Tensor(np.array([2.0]), requires_grad=True, dtype=np.float64)

@@ -257,6 +257,13 @@ class TestTrainingLoop:
             assert all(t.data is arrays[n] for n, t in model.params.items())
         assert model.stem[0].w.data.tobytes() != w0.tobytes()
 
+    def test_no_parameter_keeps_a_gradient_after_a_step(self):
+        model = tiny_model()
+        trainer = T.Trainer(model, tiny_train_cfg(), [(tiny_dataset(), 1.0)])
+        for _ in range(2):
+            trainer.train_step()
+            assert [n for n, t in model.params.items() if t.grad is not None] == []
+
     def test_log_format_six_decimals(self):
         row = T.TrainLogRow(step=3, loss=1.23456789, acc=0.5)
         assert row.csv() == "3,1.234568,0.500000"
