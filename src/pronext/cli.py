@@ -195,28 +195,30 @@ def cmd_explain(args):
     # segmentation reads the stage-2 mask, the one that covers the outer structure
     outer = explain_mod.largest_components(explain_mod.score_maps(probs[1], size) > args.tau)
 
+    box = explain_mod.boxes(maps, args.tau)
+    # each box's score is its map's peak inside the box
+    ys, xs = np.ogrid[:size, :size]
+    x0, y0, x1, y1 = (c[:, None, None] for c in box.T)
+    in_box = (y0 <= ys) & (ys < y1) & (x0 <= xs) & (xs < x1)
+    peaks = np.where(in_box, maps, -np.inf).max(axis=(1, 2)).tolist()
+    seg = explain_mod.seg_metrics(outer, ds.masks)
+    loc = explain_mod.loc_metrics(maps, ds.boxes, np.concatenate(logits), ds.labels, args.tau)
+
     mask_dir = os.path.join(args.out, "masks")
     score_dir = os.path.join(args.out, "scores")
     os.makedirs(score_dir, exist_ok=True)
-    box_rows, seg = [], []
-    for i, score in enumerate(maps):
-        image_id = f"img_{i:05d}"
+    image_ids = [f"img_{i:05d}" for i in range(len(ds))]
+    for i, image_id in enumerate(image_ids):
         per_img = os.path.join(mask_dir, image_id)
         os.makedirs(per_img, exist_ok=True)
         explain_mod.export_stage_masks([b[i] for b in binaries], per_img)
         explain_mod.write_score_map(
-            os.path.join(score_dir, f"{image_id}_stage{args.stage}.pgm"), score)
-        x0, y0, x1, y1 = bbox = explain_mod.map_to_bbox(score, args.tau)
-        box_rows.append((image_id, bbox, float(score[y0:y1, x0:x1].max())))
-        seg.append(explain_mod.seg_metrics(outer[i], ds.masks[i]))
-
-    explain_mod.write_boxes_csv(os.path.join(args.out, "boxes.csv"), box_rows)
-    loc = explain_mod.loc_metrics(maps, [tuple(b) for b in ds.boxes], np.concatenate(logits),
-                                  ds.labels, args.tau)
+            os.path.join(score_dir, f"{image_id}_stage{args.stage}.pgm"), maps[i])
+    explain_mod.write_boxes_csv(os.path.join(args.out, "boxes.csv"), zip(image_ids, box, peaks))
     header = "gt_known,top1_loc,top5_loc,max_box_acc_v1,max_box_acc_v2,iou,dice"
     row = (f"{loc['gt_known']:.6f},{loc['top1_loc']:.6f},{loc['top5_loc']:.6f},"
            f"{loc['max_box_acc_v1']:.6f},{loc['max_box_acc_v2']:.6f},"
-           f"{np.mean([m['iou'] for m in seg]):.6f},{np.mean([m['dice'] for m in seg]):.6f}")
+           f"{seg['iou'].mean():.6f},{seg['dice'].mean():.6f}")
     with open(os.path.join(args.out, "metrics.csv"), "w", encoding="utf-8") as fh:
         fh.write(header + "\n" + row + "\n")
     print(header)

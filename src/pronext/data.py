@@ -377,9 +377,16 @@ def load_dataset(data_dir):
 
     if masks2 and len(masks2) != len(images):
         raise DataError(f"{data_dir}: inner masks present for only some images")
+    boxes = np.array(boxes, dtype=np.int64)
+    x0, y0, x1, y1 = boxes.T
+    bad = ~((0 <= x0) & (x0 < x1) & (x1 <= w) & (0 <= y0) & (y0 < y1) & (y1 <= h))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(f"{index_path}:{label_lines[i]}: box {tuple(boxes[i].tolist())} "
+                        f"is not a non-empty box inside the {w}x{h} image")
     return Dataset(name=name, images=np.stack(images),
                    labels=np.array(labels, dtype=np.int64),
-                   boxes=np.array(boxes, dtype=np.int64), masks=np.stack(masks),
+                   boxes=boxes, masks=np.stack(masks),
                    masks2=np.stack(masks2) if masks2 else None,
                    cues=cues, num_classes=num_classes)
 

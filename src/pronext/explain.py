@@ -5,10 +5,12 @@ Everything here reads patch probabilities only; no extra training happens.
 A stage's (P, P) grid tiles the S-pixel image (the stem preserves
 resolution), so `score_maps` bilinearly interpolates a batch of grids up to
 image resolution. Any grid works the same way: a trained stage's, an
-untrained model's, or a baseline such as a centred Gaussian. Boxes come from
-thresholding a score map and taking the largest 4-connected component's
-tight bounding box (full-image fallback when the threshold empties the map);
-the segmentation masks are those largest components.
+untrained model's, or a baseline such as a centred Gaussian. Every step
+takes the whole (N, ...) stack: `boxes` thresholds the score maps and takes
+each map's largest 4-connected component's row and column extents (the full
+image when the threshold empties a map), and `box_ious` and `seg_metrics`
+score the stacks against the ground truth. The segmentation masks are those
+largest components; labelling them is the one step that runs per map.
 
 Box convention: (x0, y0, x1, y1), inclusive-exclusive pixel coordinates.
 """
@@ -63,28 +65,30 @@ def _largest_component(hot):
     return labels == int(np.argmax(sizes))
 
 
-def map_to_bbox(score_map, tau):
-    """Threshold, keep the largest 4-connected component, return its tight
-    box; an empty thresholded map falls back to the full image."""
+def boxes(maps, tau):
+    """(N, H, W) score maps -> (N, 4) int boxes: threshold at `tau`, keep each
+    sample's largest 4-connected component and take its row and column
+    extents. A sample the threshold empties has no extent, so its argmax
+    reads 0 from both ends and the box falls back to the full image."""
     if not 0.0 < tau < 1.0:
         raise InputError("tau must be strictly inside (0, 1)")
-    H, W = score_map.shape
-    hot = score_map > tau
-    if not hot.any():
-        return (0, 0, W, H)
-    ys, xs = np.nonzero(_largest_component(hot))
-    return (int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1)
+    _, H, W = maps.shape
+    comp = largest_components(maps > tau)
+    rows, cols = comp.any(axis=2), comp.any(axis=1)
+    return np.stack([cols.argmax(axis=1), rows.argmax(axis=1),
+                     W - cols[:, ::-1].argmax(axis=1), H - rows[:, ::-1].argmax(axis=1)],
+                    axis=1)
 
 
-def box_iou(a, b):
-    ax0, ay0, ax1, ay1 = a
-    bx0, by0, bx1, by1 = b
-    ix0, iy0 = max(ax0, bx0), max(ay0, by0)
-    ix1, iy1 = min(ax1, bx1), min(ay1, by1)
-    iw, ih = max(0, ix1 - ix0), max(0, iy1 - iy0)
+def box_ious(a, b):
+    """IoU of paired (N, 4) boxes -> (N,); a zero union gives 0."""
+    a, b = np.asarray(a), np.asarray(b)
+    iw = np.maximum(0, np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0]))
+    ih = np.maximum(0, np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1]))
     inter = iw * ih
-    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
-    return inter / union if union else 0.0
+    union = ((a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+             + (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1]) - inter)
+    return np.divide(inter, union, out=np.zeros(len(a)), where=union != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -92,58 +96,48 @@ def box_iou(a, b):
 # ---------------------------------------------------------------------------
 
 
-def loc_metrics(score_maps, gt_boxes, class_scores, gt_classes, tau):
+def loc_metrics(maps, gt_boxes, class_scores, gt_classes, tau):
     """GT-Known / Top-1 / Top-5 localization plus the max-box accuracies.
 
-    score_maps: (N, H, W) maps in [0, 1]; gt_boxes: (x0, y0, x1, y1) list;
+    maps: (N, H, W) score maps in [0, 1]; gt_boxes: (N, 4) boxes;
     class_scores: (N, K) classification scores; gt_classes: (N,) labels.
-    GT-K and Top-k take each map's `map_to_bbox` box at `tau` and count a hit
-    at IoU 0.5; the max-box variants re-derive the boxes over the threshold
-    sweep.
+    GT-K and Top-k take the `boxes` at `tau` and count a hit at IoU 0.5; the
+    max-box variants re-derive the boxes at every sweep threshold.
     """
-    n = len(score_maps)
+    n = len(maps)
     if not (len(gt_boxes) == n and len(class_scores) == n and len(gt_classes) == n):
-        raise InputError("loc_metrics: input lists must have equal length")
+        raise InputError("loc_metrics: inputs must have equal length")
     class_scores = np.asarray(class_scores)
     gt_classes = np.asarray(gt_classes)
     top1 = np.argmax(class_scores, axis=1)
     k = min(5, class_scores.shape[1])
     top5 = np.argsort(-class_scores, axis=1)[:, :k]
 
-    ious = np.array([box_iou(map_to_bbox(m, tau), gt) for m, gt in zip(score_maps, gt_boxes)])
-    known = ious >= 0.5
+    known = box_ious(boxes(maps, tau), gt_boxes) >= 0.5
     gt_k = float(known.mean())
     top1_loc = float((known & (top1 == gt_classes)).mean())
     top5_loc = float((known & (top5 == gt_classes[:, None]).any(axis=1)).mean())
 
-    sweep = np.zeros((len(V1_THRESHOLDS), n))
-    for ti, t in enumerate(V1_THRESHOLDS):
-        for i, (m, gt) in enumerate(zip(score_maps, gt_boxes)):
-            sweep[ti, i] = box_iou(map_to_bbox(m, t), gt)
+    sweep = np.stack([box_ious(boxes(maps, t), gt_boxes) for t in V1_THRESHOLDS])
     v1 = float(max((sweep >= 0.5).mean(axis=1)))
     v2 = float(np.mean([max((sweep >= delta).mean(axis=1)) for delta in V2_IOU_LEVELS]))
     return {"gt_known": gt_k, "top1_loc": top1_loc, "top5_loc": top5_loc,
             "max_box_acc_v1": v1, "max_box_acc_v2": v2}
 
 
-def seg_metrics(pred_mask, gt_mask):
-    """Intersection-over-union and Dice for binary masks (empty/empty = 1)."""
-    pred_mask = np.asarray(pred_mask)
-    gt_mask = np.asarray(gt_mask)
-    if pred_mask.shape != gt_mask.shape:
+def seg_metrics(pred_masks, gt_masks):
+    """Per-sample IoU and Dice of (N, H, W) binary mask stacks, each (N,);
+    an empty mask against an empty one scores 1."""
+    pred_masks, gt_masks = np.asarray(pred_masks), np.asarray(gt_masks)
+    if pred_masks.shape != gt_masks.shape:
         raise InputError("seg_metrics: shape mismatch")
-    for m in (pred_mask, gt_mask):
-        vals = np.unique(m)
-        if not np.isin(vals, (0, 1)).all():
-            raise InputError("seg_metrics: masks must be binary")
-    inter = float(np.logical_and(pred_mask, gt_mask).sum())
-    a = float(pred_mask.sum())
-    b = float(gt_mask.sum())
+    if not (np.isin(pred_masks, (0, 1)).all() and np.isin(gt_masks, (0, 1)).all()):
+        raise InputError("seg_metrics: masks must be binary")
+    inter, a, b = (np.sum(m, axis=(-2, -1), dtype=np.float64)
+                   for m in (np.logical_and(pred_masks, gt_masks), pred_masks, gt_masks))
     union = a + b - inter
-    if union == 0:
-        return {"iou": 1.0, "dice": 1.0}
-    iou = inter / union
-    dice = 2 * inter / (a + b)
+    iou = np.divide(inter, union, out=np.ones_like(union), where=union != 0)
+    dice = np.divide(2 * inter, a + b, out=np.ones_like(union), where=union != 0)
     return {"iou": iou, "dice": dice}
 
 

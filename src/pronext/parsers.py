@@ -105,8 +105,7 @@ class ShiftParserParams:
 
 @dataclass
 class SAParserParams:
-    w: ad.Tensor              # (1, 1, 2, 1)
-    b: ad.Tensor              # (1,)
+    w: ad.Tensor              # (1, 1, 2, 1); no bias, which centring cancels
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +299,17 @@ def plain_field_parse(f, k, params, mode="hard"):
 
 def spatial_attention_parse(f, k, params, mode="hard"):
     """Spatial-attention baseline: per-patch channel mean and max, 1x1 conv,
-    sigmoid; same thresholding rules as the main parser."""
+    logits centred over each sample's grid, sigmoid; same thresholding rules
+    as the main parser. Both conv inputs mostly share one sign over the
+    grid, so without the centring one weight's sign would put every patch
+    on one side of 0.5."""
     B, P = f.shape[0], _grid_side(f, k)
     pooled = ad.patch_avg_pool(f, k)                       # (B, P, P, C)
     ch_mean = ad.reduce_mean(pooled, axis=-1, keepdims=True)
     ch_max = ad.reshape(ad.reduce_max(pooled, axis=-1), (B, P, P, 1))
     feats = ad.concat([ch_mean, ch_max], axis=-1)
-    logits = ad.conv2d(feats, params.w, params.b)
+    logits = ad.conv2d(feats, params.w)
+    logits = ad.sub(logits, ad.reduce_mean(logits, axis=(1, 2, 3), keepdims=True))
     probs_t = ad.reshape(ad.sigmoid(logits), (B, P, P))
     return finish_mask(probs_t, mode)
 
@@ -325,7 +328,6 @@ def init_shift_parser(rng, channels):
 
 
 def init_sa_parser(rng):
-    w = ad.Tensor(rng.standard_normal((1, 1, 2, 1)) * 0.5, requires_grad=True)
-    b = ad.Tensor(np.zeros(1), requires_grad=True)
-    return SAParserParams(w=w, b=b)
+    return SAParserParams(w=ad.Tensor(rng.standard_normal((1, 1, 2, 1)) * 0.5,
+                                      requires_grad=True))
 

@@ -335,12 +335,22 @@ def _int_record(arrays, name):
 
 
 def _moment_record(arrays, name, param):
-    """An optimizer moment: the shape of its parameter, updated in place."""
+    """An optimizer moment: the shape of its parameter, finite, and for the
+    second moment nonnegative (`sqrt(v)` of a negative entry is NaN); updated
+    in place."""
     arr = _record(arrays, name)
     if arr.shape != param.shape:
         raise DataError(f"checkpoint record '{name}' has shape {arr.shape}, "
                         f"expected {param.shape}")
+    _check_finite(name, arr)
+    if name.startswith("opt.v.") and (arr < 0).any():
+        raise DataError(f"checkpoint record '{name}' holds a negative second moment")
     return arr
+
+
+def _check_finite(name, arr):
+    if not np.isfinite(arr).all():
+        raise DataError(f"checkpoint record '{name}' holds a non-finite value")
 
 
 def _config_record(arrays, name, cls):
@@ -348,9 +358,13 @@ def _config_record(arrays, name, cls):
 
 
 def model_from_checkpoint_arrays(arrays):
+    """The model a checkpoint holds; every parameter it reads must be finite."""
     cfg = _config_record(arrays, "trainer.model_config", model_mod.ModelConfig)
-    return model_mod.ProNextModel.from_state(
+    model = model_mod.ProNextModel.from_state(
         cfg, {n[len("param."):]: a for n, a in arrays.items() if n.startswith("param.")})
+    for name, tensor in model.params.items():
+        _check_finite(f"param.{name}", tensor.data)
+    return model
 
 
 def load_model_from_checkpoint(path):

@@ -328,15 +328,17 @@ def test_criterion_8_metric_correctness():
         ((1, 1, 5, 5), (3, 1, 7, 5), 1 / 3),
         ((0, 0, 6, 6), (2, 2, 4, 4), 1 / 9),
     ]
-    for a, b, expected in loc_cases:
-        assert explain.box_iou(a, b) == pytest.approx(expected), (a, b)
+    a, b, expected = (np.array(col) for col in zip(*loc_cases))
+    assert explain.box_ious(a, b) == pytest.approx(expected)
+    assert explain.box_ious(b, a) == pytest.approx(expected)
 
     # end-to-end metric definitions on constructed maps
     box_map = np.zeros((16, 16))
     box_map[2:9, 3:10] = 1.0
-    perfect = explain.loc_metrics(box_map[None], [(3, 2, 10, 9)], np.eye(2)[:1], [0], 0.5)
+    gt = np.array([(3, 2, 10, 9)])
+    perfect = explain.loc_metrics(box_map[None], gt, np.eye(2)[:1], [0], 0.5)
     assert all(v == 1.0 for v in perfect.values())
-    wrong_cls = explain.loc_metrics(box_map[None], [(3, 2, 10, 9)], np.eye(2)[[1]], [0], 0.5)
+    wrong_cls = explain.loc_metrics(box_map[None], gt, np.eye(2)[[1]], [0], 0.5)
     assert wrong_cls["gt_known"] == 1.0 and wrong_cls["top1_loc"] == 0.0
 
     # ten segmentation cases (counting pixels by hand)
@@ -361,10 +363,10 @@ def test_criterion_8_metric_correctness():
         (half, half, 1.0, 1.0),
         (full, quarter, 0.25, 0.4),
     ]
-    for a, b, iou, dice in seg_cases:
-        got = explain.seg_metrics(a, b)
-        assert got["iou"] == pytest.approx(iou)
-        assert got["dice"] == pytest.approx(dice)
-        assert got["dice"] == pytest.approx(2 * got["iou"] / (1 + got["iou"]))
+    a, b, iou, dice = (np.array(col) for col in zip(*seg_cases))
+    got = explain.seg_metrics(a, b)
+    assert got["iou"] == pytest.approx(iou)
+    assert got["dice"] == pytest.approx(dice)
+    assert got["dice"] == pytest.approx(2 * got["iou"] / (1 + got["iou"]))
     report(8, "10 localization + 10 segmentation hand oracles exact; "
               "Dice–IoU identity holds")

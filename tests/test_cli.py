@@ -329,6 +329,37 @@ class TestMalformedInputs:
         assert err.startswith("data error:") and "has 64px images, model expects 32px" in err
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "explain"])
+    def test_non_finite_parameter_exit_2(self, workspace, capsys, command):
+        rc, out = run_train(workspace, f"run_nan_{command}")
+        tmp_path, *_, data_dir = workspace
+        arrays = ckpt.load_arrays(out / "final.ckpt")
+        arrays["param.head.mlp_w1"][0, 0] = np.nan
+        ckpt.save_arrays(tmp_path / "nan.ckpt", arrays)
+        rc = cli.main([command, "--checkpoint", str(tmp_path / "nan.ckpt"), "--data", data_dir,
+                       "--out", str(tmp_path / "bad"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error:") and "'param.head.mlp_w1'" in err
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("box", ["5,5,2,2", "0,0,33,8"], ids=["inverted", "outside_image"])
+    def test_explain_bad_box_exit_2(self, workspace, capsys, box):
+        rc, out = run_train(workspace, "run_box")
+        tmp_path, *_, data_dir = workspace
+        index = os.path.join(data_dir, "index.csv")
+        with open(index, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:2] + [box])
+        with open(index, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        rc = cli.main(["explain", "--checkpoint", str(out / "final.ckpt"), "--data", data_dir,
+                       "--out", str(tmp_path / "bad"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error:") and f"index.csv:4: box ({box.replace(',', ', ')})" in err
+        assert not (tmp_path / "bad").exists()
+
     def test_train_crop_other_than_input_size_exit_1(self, workspace, capsys):
         tmp_path, model_cfg, _, data_dir = workspace
         train_cfg = tmp_path / "crop28.cfg"

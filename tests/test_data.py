@@ -4,6 +4,8 @@ The label rules and the negative controls below are test oracles; the
 generators label inline and never call them.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,20 @@ class TestDatasetIO:
         write(tmp_path / name, np.zeros(shape, dtype=np.uint8))
         with pytest.raises(DataError, match=f"{name} is {shape[1]}x{shape[0]} pixels, "
                                             "but the first image is 16x16"):
+            data.load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("box", ["5,5,2,2", "3,3,3,8", "0,0,17,8", "-1,0,4,4"],
+                             ids=["inverted", "empty", "past_the_edge", "negative"])
+    def test_box_not_inside_the_image_is_data_error(self, tmp_path, box):
+        ds = data.generate("structure", 3, np.random.default_rng(5), image_size=16)
+        data.write_dataset(ds, str(tmp_path))
+        index = tmp_path / "index.csv"
+        lines = index.read_text().splitlines()
+        lines[1] = ",".join(lines[1].split(",")[:2] + [box])
+        index.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"index.csv:2: box ({box.replace(',', ', ')}) is not a non-empty box "
+                "inside the 16x16 image")):
             data.load_dataset(str(tmp_path))
 
     def test_images_are_8bit_quantized(self, interaction_ds):

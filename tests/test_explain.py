@@ -18,6 +18,52 @@ def rect_map(H, W, y0, y1, x0, x1, value=1.0):
     return m
 
 
+# per-map reference formulation: the oracle that `boxes` and `box_ious` must
+# match exactly
+
+
+def map_to_bbox(score_map, tau):
+    """Threshold, keep the largest 4-connected component (ties to the lowest
+    label, first in scan order), return its tight box; an empty thresholded
+    map falls back to the full image."""
+    from scipy import ndimage
+    H, W = score_map.shape
+    hot = score_map > tau
+    if not hot.any():
+        return (0, 0, W, H)
+    labels, _ = ndimage.label(hot, structure=explain.FOUR_CONNECTED)
+    sizes = np.bincount(labels.reshape(-1))
+    sizes[0] = 0
+    ys, xs = np.nonzero(labels == int(np.argmax(sizes)))
+    return (int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1)
+
+
+def box_iou(a, b):
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
+    iw = max(0, min(ax1, bx1) - max(ax0, bx0))
+    ih = max(0, min(ay1, by1) - max(ay0, by0))
+    inter = iw * ih
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+    return inter / union if union else 0.0
+
+
+class TestBatchedBoxesMatchOracle:
+    @pytest.mark.parametrize("P,size", [(8, 32), (4, 32), (2, 32), (8, 64)])
+    def test_bit_identical_to_per_map_path(self, P, size):
+        rng = np.random.default_rng(P * size)
+        maps = explain.score_maps(rng.random((24, P, P)), size)
+        x0, y0 = rng.integers(0, size // 2, (2, 24))
+        x1, y1 = x0 + rng.integers(1, size // 2, (2, 24))
+        gt = np.stack([x0, y0, x1, y1], axis=1)
+        for tau in (*explain.V1_THRESHOLDS, 0.5):
+            got = explain.boxes(maps, tau)
+            want = [map_to_bbox(m, tau) for m in maps]
+            assert got.shape == (24, 4) and got.tolist() == [list(b) for b in want]
+            ious = explain.box_ious(got, gt)
+            assert ious.tolist() == [box_iou(b, g) for b, g in zip(want, gt.tolist())]
+
+
 class TestBoxIoU:
     # ten constructed cases with hand-computed values
     CASES = [
@@ -35,50 +81,65 @@ class TestBoxIoU:
 
     @pytest.mark.parametrize("a,b,expected", CASES)
     def test_hand_cases(self, a, b, expected):
-        assert explain.box_iou(a, b) == pytest.approx(expected)
-        assert explain.box_iou(b, a) == pytest.approx(expected)
+        got = explain.box_ious(np.array([a, b]), np.array([b, a]))
+        assert got == pytest.approx([expected, expected])
+
+    def test_all_cases_in_one_stack(self):
+        a, b, expected = (np.array(col) for col in zip(*self.CASES))
+        assert explain.box_ious(a, b) == pytest.approx(expected)
+
+    def test_zero_union_gives_zero(self):
+        empty = np.array([(2, 2, 2, 2), (0, 0, 2, 2)])
+        assert explain.box_ious(empty, empty).tolist() == [0.0, 1.0]
 
 
 class TestMapToBbox:
+    """`boxes`: each case of the per-map box it replaced, as a stack."""
+
     def test_rectangle_recovered_exactly(self):
-        m = rect_map(10, 12, 2, 7, 3, 9)
-        assert explain.map_to_bbox(m, 0.5) == (3, 2, 9, 7)
+        maps = np.stack([rect_map(10, 12, 2, 7, 3, 9), rect_map(10, 12, 0, 10, 11, 12)])
+        assert explain.boxes(maps, 0.5).tolist() == [[3, 2, 9, 7], [11, 0, 12, 10]]
 
     def test_all_zero_full_image_fallback(self):
-        assert explain.map_to_bbox(np.zeros((6, 8)), 0.3) == (0, 0, 8, 6)
+        # an empty sample falls back whatever its neighbours hold
+        maps = np.stack([np.zeros((6, 8)), rect_map(6, 8, 1, 2, 1, 2), np.zeros((6, 8))])
+        assert explain.boxes(maps, 0.3).tolist() == [[0, 0, 8, 6], [1, 1, 2, 2], [0, 0, 8, 6]]
 
     def test_largest_component_wins(self):
         m = rect_map(10, 10, 0, 1, 0, 5)            # area 5
         m[4:7, 4:7] = 1.0                           # area 9
-        assert explain.map_to_bbox(m, 0.5) == (4, 4, 7, 7)
+        flipped = m[::-1, ::-1]                     # the larger one first in scan order
+        assert explain.boxes(np.stack([m, flipped]), 0.5).tolist() == [[4, 4, 7, 7],
+                                                                        [3, 3, 6, 6]]
 
     def test_diagonal_is_not_connected(self):
         m = np.zeros((4, 4))
         m[0, 0] = m[1, 1] = m[2, 2] = 1.0           # 4-connectivity: 3 components
-        box = explain.map_to_bbox(m, 0.5)
-        assert box in {(0, 0, 1, 1), (1, 1, 2, 2), (2, 2, 3, 3)}
-        assert box == (0, 0, 1, 1)                  # first in scan order on ties
+        anti = m[:, ::-1]
+        # first in scan order on ties
+        assert explain.boxes(np.stack([m, anti]), 0.5).tolist() == [[0, 0, 1, 1],
+                                                                     [3, 0, 4, 1]]
 
     def test_monotone_rescale_invariance(self):
         rng = np.random.default_rng(0)
-        m = rng.random((16, 16))
+        maps = rng.random((8, 16, 16))
         tau = 0.4
-        base = explain.map_to_bbox(m, tau)
-        # strictly monotone affine rescale of map and threshold together
-        scaled = 0.5 * m + 0.2
-        assert explain.map_to_bbox(scaled, 0.5 * tau + 0.2) == base
+        base = explain.boxes(maps, tau)
+        # strictly monotone affine rescale of maps and threshold together
+        scaled = 0.5 * maps + 0.2
+        assert (explain.boxes(scaled, 0.5 * tau + 0.2) == base).all()
 
     def test_tau_bounds(self):
         with pytest.raises(InputError):
-            explain.map_to_bbox(np.zeros((4, 4)), 0.0)
+            explain.boxes(np.zeros((2, 4, 4)), 0.0)
         with pytest.raises(InputError):
-            explain.map_to_bbox(np.zeros((4, 4)), 1.0)
+            explain.boxes(np.zeros((2, 4, 4)), 1.0)
 
 
 class TestLocMetrics:
     def make_aligned(self, n=4, H=16):
         maps = np.stack([rect_map(H, H, 2, 9, 3, 10)] * n)
-        return maps, [(3, 2, 10, 9)] * n
+        return maps, np.array([(3, 2, 10, 9)] * n)
 
     def test_perfect_predictions(self):
         maps, gts = self.make_aligned()
@@ -106,7 +167,7 @@ class TestLocMetrics:
     def test_small_iou_counts_as_miss(self):
         # unit-cell boxes (0,0,2,2) vs (1,1,3,3): IoU = 1/7 < 0.5
         maps = rect_map(8, 8, 0, 2, 0, 2)[None]
-        metrics = explain.loc_metrics(maps, [(1, 1, 3, 3)], np.eye(2)[:1], [0], 0.5)
+        metrics = explain.loc_metrics(maps, np.array([(1, 1, 3, 3)]), np.eye(2)[:1], [0], 0.5)
         assert metrics["gt_known"] == 0.0
 
     def test_v1_sweep_recovers_threshold_sensitive_box(self):
@@ -114,16 +175,17 @@ class TestLocMetrics:
         m = np.zeros((12, 12))
         m[2:8, 2:8] = 0.6
         m[0:12, 0:2] = 0.25                        # low-value distractor strip
-        metrics = explain.loc_metrics(m[None], [(2, 2, 8, 8)], np.eye(2)[:1], [0], 0.2)
+        metrics = explain.loc_metrics(m[None], np.array([(2, 2, 8, 8)]), np.eye(2)[:1],
+                                      [0], 0.2)
         assert metrics["gt_known"] == 0.0           # tau 0.2 joins square and strip
         assert metrics["max_box_acc_v1"] == 1.0     # some tau isolates the square
 
     def test_v2_averages_iou_levels(self):
         # box with IoU ~ 0.39 vs gt: hits delta=0.3, misses 0.5 and 0.7
         maps = rect_map(16, 16, 0, 8, 0, 8)[None]
-        gt = [(2, 2, 10, 10)]
+        gt = np.array([(2, 2, 10, 10)])
         metrics = explain.loc_metrics(maps, gt, np.eye(2)[:1], [0], 0.5)
-        iou = explain.box_iou((0, 0, 8, 8), gt[0])
+        iou = explain.box_ious(np.array([(0, 0, 8, 8)]), gt)[0]
         assert 0.3 <= iou < 0.5
         assert metrics["max_box_acc_v2"] == pytest.approx(1.0 / 3.0)
 
@@ -135,13 +197,13 @@ class TestLocMetrics:
             x0, y0 = rng.integers(0, 8, 2)
             gts.append((int(x0), int(y0), int(x0) + 8, int(y0) + 8))
         scores = rng.random((12, 3))
-        metrics = explain.loc_metrics(maps, gts, scores, rng.integers(0, 3, 12), 0.5)
+        metrics = explain.loc_metrics(maps, np.array(gts), scores, rng.integers(0, 3, 12), 0.5)
         assert metrics["max_box_acc_v1"] >= metrics["gt_known"] - 1e-12
 
     def test_length_mismatch(self):
         maps = rect_map(4, 4, 0, 2, 0, 2)[None]
         with pytest.raises(InputError):
-            explain.loc_metrics(maps, [(0, 0, 2, 2), (0, 0, 2, 2)], np.eye(2)[:1], [0], 0.5)
+            explain.loc_metrics(maps, np.array([(0, 0, 2, 2)] * 2), np.eye(2)[:1], [0], 0.5)
 
 
 class TestSegMetrics:
@@ -170,23 +232,26 @@ class TestSegMetrics:
         ]
 
     def test_counting_oracles(self):
-        for a, b, iou, dice in self.cases():
-            got = explain.seg_metrics(a, b)
-            assert got["iou"] == pytest.approx(iou)
-            assert got["dice"] == pytest.approx(dice)
+        a, b, iou, dice = (np.array(col) for col in zip(*self.cases()))
+        got = explain.seg_metrics(a, b)
+        assert got["iou"] == pytest.approx(iou)
+        assert got["dice"] == pytest.approx(dice)
 
     def test_dice_iou_identity(self):
         rng = np.random.default_rng(2)
-        for _ in range(50):
-            a = (rng.random((8, 8)) > 0.5).astype(int)
-            b = (rng.random((8, 8)) > 0.5).astype(int)
-            got = explain.seg_metrics(a, b)
-            assert got["dice"] == pytest.approx(2 * got["iou"] / (1 + got["iou"]))
-            assert got["dice"] >= got["iou"]
+        a = (rng.random((50, 8, 8)) > 0.5).astype(int)
+        b = (rng.random((50, 8, 8)) > 0.5).astype(int)
+        got = explain.seg_metrics(a, b)
+        assert got["dice"] == pytest.approx(2 * got["iou"] / (1 + got["iou"]))
+        assert (got["dice"] >= got["iou"]).all()
 
     def test_non_binary_rejected(self):
-        with pytest.raises(InputError):
-            explain.seg_metrics(np.full((2, 2), 0.5), np.zeros((2, 2)))
+        with pytest.raises(InputError, match="binary"):
+            explain.seg_metrics(np.full((3, 2, 2), 0.5), np.zeros((3, 2, 2)))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(InputError, match="shape"):
+            explain.seg_metrics(np.zeros((3, 2, 2)), np.zeros((2, 2, 2)))
 
 
 class TestMaskToImage:
@@ -261,9 +326,9 @@ class TestModelExtraction:
         for m in pred.stage_masks:
             maps = explain.score_maps(m.probs, 32)
             assert maps.shape == (3, 32, 32)
-            for score in maps:
-                x0, y0, x1, y1 = explain.map_to_bbox(score, 0.5)
-                assert 0 <= x0 < x1 <= 32 and 0 <= y0 < y1 <= 32
+            x0, y0, x1, y1 = explain.boxes(maps, 0.5).T
+            assert ((0 <= x0) & (x0 < x1) & (x1 <= 32) & (0 <= y0) & (y0 < y1)
+                    & (y1 <= 32)).all()
             seg = explain.largest_components(maps > 0.5)
             assert seg.shape == (3, 32, 32) and set(np.unique(seg)) <= {0, 1}
 

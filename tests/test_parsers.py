@@ -1,12 +1,14 @@
 """Tests for the coordinate-field parser and its ablation baselines."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pronext import autodiff as ad
-from pronext import parsers
+from pronext import cli, data, experiments, parsers
+from pronext import model as M
 from pronext.errors import ConfigError, DimensionError
 from pronext.gradcheck import grad_check
 
@@ -368,35 +370,52 @@ class TestPlainFieldParse:
 
 
 class TestSpatialAttentionParse:
-    def test_zero_weights_bias_only_fallback(self):
+    def test_zero_weights_fallback(self):
+        # zero weights give zero centred logits: every prob is 0.5, none is
+        # above it, so the fallback promotes the first cell
         rng = np.random.default_rng(15)
-        params = parsers.SAParserParams(w=ad.Tensor(np.zeros((1, 1, 2, 1))),
-                                        b=ad.Tensor(np.array([2.0])))
+        params = parsers.SAParserParams(w=ad.Tensor(np.zeros((1, 1, 2, 1))))
         f = rand_feature(rng, B=1, H=8, C=3)
         m = parsers.spatial_attention_parse(f, k=2, params=params)
-        sig = 1.0 / (1.0 + math.exp(-2.0))
-        np.testing.assert_allclose(m.probs, sig, rtol=1e-6)
-        # all probs equal and > 0.5 -> fallback demotes the first cell
-        assert m.n_focal[0] == m.grid_side ** 2 - 1
-        assert m.binary[0, 0, 0] == 0.0
+        np.testing.assert_array_equal(m.probs, 0.5)
+        assert m.n_focal[0] == 1
+        assert m.binary[0, 0, 0] == 1.0
 
     def test_constant_feature_constant_probs(self):
-        params = parsers.SAParserParams(w=ad.Tensor(np.ones((1, 1, 2, 1))),
-                                        b=ad.Tensor(np.array([-4.0])))
+        # a constant feature gives constant logits, which centre to 0
+        params = parsers.SAParserParams(w=ad.Tensor(np.ones((1, 1, 2, 1))))
         f = ad.Tensor(np.full((1, 8, 8, 3), 0.5))
         m = parsers.spatial_attention_parse(f, k=2, params=params)
-        assert np.allclose(m.probs, m.probs[0, 0, 0])
-        assert m.n_focal[0] == 1  # all below 0.5 -> fallback promotes one
+        np.testing.assert_array_equal(m.probs, 0.5)
+        assert m.n_focal[0] == 1  # none above 0.5 -> fallback promotes one
 
     def test_matches_composition_oracle(self):
         rng = np.random.default_rng(16)
         params = parsers.SAParserParams(
-            w=ad.Tensor(rng.standard_normal((1, 1, 2, 1)), dtype=np.float64),
-            b=ad.Tensor(rng.standard_normal(1), dtype=np.float64))
-        f_np = rng.standard_normal((1, 8, 8, 5))
+            w=ad.Tensor(rng.standard_normal((1, 1, 2, 1)), dtype=np.float64))
+        f_np = rng.standard_normal((2, 8, 8, 5))
         with ad.precision("float64"):
             m = parsers.spatial_attention_parse(ad.Tensor(f_np), k=4, params=params)
-        pooled = f_np.reshape(1, 2, 4, 2, 4, 5).mean(axis=(2, 4))
+        pooled = f_np.reshape(2, 2, 4, 2, 4, 5).mean(axis=(2, 4))
         feats = np.stack([pooled.mean(axis=-1), pooled.max(axis=-1)], axis=-1)
-        logits = feats @ params.w.data[0, 0, :, 0] + params.b.data[0]
+        logits = feats @ params.w.data[0, 0, :, 0]
+        logits -= logits.mean(axis=(1, 2), keepdims=True)   # per sample
         np.testing.assert_allclose(m.probs, 1.0 / (1.0 + np.exp(-logits)), rtol=1e-10)
+
+    def test_desk_ladder_init_is_not_fallback_bound(self):
+        # Both conv inputs mostly share one sign over the grid, so uncentred logits
+        # let one weight's sign put every patch on one side of 0.5: at init,
+        # 41 of these 48 (row, seed, stage) cells fired the fallback on most
+        # samples. Centred, no SA stage is fallback-bound on most samples.
+        images = data.generate("interaction", 32, np.random.default_rng(0),
+                               image_size=32).images
+        rows = dict(experiments.ABLATION_ROWS)
+        for row in ("separation_sa", "context_sa"):
+            cfg = replace(cli._desk_ablation_config(4, 32), **rows[row]).validate()
+            for seed in range(8):
+                with ad.no_grad():
+                    masks = M.ProNextModel(cfg, seed=seed).forward(images).stage_masks
+                for stage, m in enumerate(masks):
+                    raw = (m.probs > 0.5).sum(axis=(1, 2))
+                    fallback = (raw == 0) | (raw == m.grid_side ** 2)
+                    assert fallback.mean() <= 0.5, (row, seed, stage, fallback.mean())

@@ -381,7 +381,8 @@ class TestCheckpointCompatibility:
     embed 4, band_pass False, seed 8) trained 2 of 4 steps on
     `fixture_dataset()` with seed 7, batch 4, lr 1e-3, MixUp 0.2. It also
     predates the retired config keys (`stages`, `block_norm`, `ca_ffn`) and
-    parameters (conv-block biases `*.b`, attention key biases `*.attn.bk`)."""
+    parameters (conv-block biases `*.b`, attention key biases `*.attn.bk`,
+    the spatial-attention bias `*.parser.b`)."""
 
     def test_loads(self):
         model = T.load_model_from_checkpoint(FIXTURE)
@@ -398,22 +399,27 @@ class TestCheckpointCompatibility:
         assert trainer.step == 2 and trainer.optimizer.t == 2
         assert trainer.cfg == tiny_train_cfg(seed=7)
         trainer.run(2)
-        # the rows the writing trainer logged for steps 2 and 3
-        assert [r.csv() for r in trainer.log] == ["2,1.385689,0.250000",
-                                                   "3,1.387000,0.500000"]
+        # steps 2 and 3 on the centred spatial-attention logits; the writing
+        # trainer, whose logits were not centred, logged 2,1.385689,0.250000
+        # and 3,1.387000,0.500000
+        assert [r.csv() for r in trainer.log] == ["2,1.385667,0.250000",
+                                                   "3,1.387031,0.500000"]
 
     def test_retired_parameter_records_are_ignored(self):
         arrays = ckpt.load_arrays(FIXTURE)
         model = T.model_from_checkpoint_arrays(arrays)
-        stored = {n[len("param."):] for n in arrays if n.startswith("param.")}
-        assert stored - model.params.keys() == {
+        stored = {n[len("param."):]: a for n, a in arrays.items() if n.startswith("param.")}
+        assert stored.keys() - model.params.keys() == {
             "stem.block0.b", "stem.block1.b", "stage0.post.b", "stage1.post.b",
             "stage2.post.b", "stage0.gaze.ca_layers0.attn.bk",
-            "stage1.gaze.ca_layers0.attn.bk", "stage2.gaze.ca_layers0.attn.bk"}
+            "stage1.gaze.ca_layers0.attn.bk", "stage2.gaze.ca_layers0.attn.bk",
+            "stage0.parser.b", "stage1.parser.b", "stage2.parser.b"}
 
         # rows that once built weights their forward never reads: the context
         # weights without a Context Impression, the plain field's condition
-        # conv. A shift model with context stands in for the older records.
+        # conv, the spatial-attention bias the centred logits cancel. A shift
+        # model with context stands in for the older records, the fixture for
+        # the bias.
         layer = ("ln_q_g", "ln_q_b", "ln_kv_g", "ln_kv_b", "attn.wq", "attn.wk",
                  "attn.wv", "attn.wo", "attn.bq", "attn.bv", "attn.bo", "ln_f_g",
                  "ln_f_b", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2")
@@ -421,15 +427,17 @@ class TestCheckpointCompatibility:
                    *(f"ca_layers0.{name}" for name in layer))
         cfg = M.ModelConfig(input_size=16, stem_channels=2, patch_size=2, embed_dim=4,
                             ca_layers=1, ca_heads=2)
-        full = M.ProNextModel(cfg, seed=8).params
+        full = {name: t.data for name, t in M.ProNextModel(cfg, seed=8).params.items()}
         x = np.random.default_rng(3).random((2, 16, 16, 3)).astype(np.float32)
-        for row, part, names in (("baseline", "gaze", context),
-                                 ("separation_sa", "gaze", context),
-                                 ("plain_field", "parser", ("cond_w", "cond_b"))):
+        for row, source, part, names in (
+                ("baseline", full, "gaze", context),
+                ("separation_sa", full, "gaze", context),
+                ("context_sa", stored, "parser", ("b",)),
+                ("plain_field", full, "parser", ("cond_w", "cond_b"))):
             row_cfg = replace(cfg, **dict(ABLATION_ROWS)[row]).validate()
             model = M.ProNextModel(row_cfg, seed=8)
             model.mlp_w2.data[:] = 0.5
-            older = {name: t.data for name, t in full.items() if f".{part}." in name}
+            older = {name: a for name, a in source.items() if f".{part}." in name}
             older.update({name: t.data.copy() for name, t in model.params.items()})
             loaded = M.ProNextModel.from_state(row_cfg, older)
             assert older.keys() - loaded.params.keys() == {
@@ -588,6 +596,37 @@ class TestConfigSnapshots:
         ckpt.save_arrays(path, arrays)
         with pytest.raises(DataError, match=message):
             T.Trainer.resume(path, [(fixture_dataset(), 1.0)])
+
+
+class TestCheckpointValues:
+    """Records with a valid CRC whose values would write NaN into the
+    parameters: a non-finite parameter or moment, or a negative second
+    moment (`sqrt(v / bc2)` of it is NaN)."""
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("opt.v.head.mlp_w1", -1e-8, "holds a negative second moment"),
+        ("opt.v.head.mlp_w1", np.inf, "holds a non-finite value"),
+        ("opt.m.head.mlp_w1", np.nan, "holds a non-finite value"),
+        ("param.head.mlp_w1", np.nan, "holds a non-finite value")],
+        ids=["negative_v", "inf_v", "nan_m", "nan_param"])
+    def test_resume_rejects_state_that_writes_nan(self, tmp_path, name, value, message):
+        arrays = ckpt.load_arrays(FIXTURE)
+        arrays[name][1, 2] = value
+        path = tmp_path / "degenerate.ckpt"
+        ckpt.save_arrays(path, arrays)
+        with pytest.raises(DataError, match=f"'{name}' {message}"):
+            T.Trainer.resume(path, [(fixture_dataset(), 1.0)])
+
+    def test_model_load_checks_only_the_parameters_it_reads(self, tmp_path):
+        arrays = ckpt.load_arrays(FIXTURE)
+        arrays["param.stage0.parser.b"] = np.full(1, np.nan, np.float32)   # retired
+        path = tmp_path / "retired_nan.ckpt"
+        ckpt.save_arrays(path, arrays)
+        T.load_model_from_checkpoint(path)
+        arrays["param.stem.block0.w"][0, 0, 0, 0] = np.nan
+        ckpt.save_arrays(path, arrays)
+        with pytest.raises(DataError, match="'param.stem.block0.w' holds a non-finite value"):
+            T.load_model_from_checkpoint(path)
 
 
 class TestLoadArraysRobustness:
