@@ -333,15 +333,38 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a):
-    """Smooth GELU (tanh form); kink-free, so finite differences stay clean."""
+    """Smooth GELU (tanh form); kink-free, so finite differences stay clean.
+
+    y = 0.5 x (1 + t), t = tanh(c (x + 0.044715 x^3)), and the derivative is
+    0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 0.134145 x^2). Both are evaluated in
+    place in that per-element order (only the operands of a commutative op
+    swap), so the values are those of the expressions as written; the graph
+    keeps x and t, and the backward forms x^2 again."""
     x = a.data
-    xx = x * x
-    t = np.tanh(_GELU_C * (x + 0.044715 * (xx * x)))
-    data = 0.5 * x * (1.0 + t)
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    data = np.add(t, 1.0)
+    data *= 0.5 * x
 
     def backward(g):
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 0.134145 * xx)
-        _accum(a, g * d)
+        d = np.multiply(x, 0.5)
+        u = np.multiply(t, t)
+        np.subtract(1.0, u, out=u)
+        d *= u
+        d *= _GELU_C
+        np.multiply(x, x, out=u)
+        u *= 0.134145
+        u += 1.0
+        d *= u
+        np.add(t, 1.0, out=u)
+        u *= 0.5
+        d += u
+        d *= g
+        _accum(a, d)
 
     return _make(data, (a,), backward, "gelu")
 
@@ -518,7 +541,49 @@ def linear(x, w, b=None):
 
 
 def _normalize(x, gamma, beta, axes, eps, op):
-    """Standardize x over `axes`, then scale and shift per channel."""
+    """Standardize x over `axes`, then scale and shift per channel.
+
+    Over the last axis numpy's reductions run along contiguous memory. Over
+    (1, 2) of a channels-last (B, H, W, C) map they would run a C-long inner
+    loop (C is as small as 2), so that case works on x as (B, H, W*C) rows:
+    every per-(sample, channel) sum over H*W is a ones-vector GEMV, and every
+    per-channel vector is tiled W times, so each broadcast runs along a whole
+    W*C row.
+    """
+    if axes == (1, 2):
+        B, H, W, C = x.shape
+        n = H * W
+        ones = np.ones(n, dtype=x.dtype)
+
+        def sums(a):                  # (B, H, W*C) -> (B, C), summed over H*W
+            return ones @ a.reshape(B, n, C)
+
+        def rows(v):                  # (..., C) -> (..., 1, W*C)
+            return v[..., None, :].repeat(W, axis=-2).reshape(v.shape[:-1] + (1, W * C))
+
+        xr = x.data.reshape(B, H, W * C)
+        xc = xr - rows(sums(xr) / n)
+        data = xc * xc
+        inv = 1.0 / np.sqrt(sums(data) / n + eps)
+        scale = gamma.data * inv                       # xhat = xc * inv
+        np.multiply(xc, rows(scale), out=data)
+        data += rows(beta.data)
+
+        def backward(g):
+            g = g.reshape(xr.shape)
+            gxc = g * xc
+            sum_gxhat, sum_g = inv * sums(gxc), sums(g)
+            _accum(gamma, sum_gxhat.sum(axis=0))
+            _accum(beta, sum_g.sum(axis=0))
+            if x.requires_grad:
+                # gamma inv (g - sum(g)/n - xhat sum(g xhat)/n)
+                gx = g * rows(scale)
+                gx -= np.multiply(xc, rows(scale * inv * sum_gxhat / n), out=gxc)
+                gx -= rows(scale * sum_g / n)
+                _accum(x, gx.reshape(x.shape))
+
+        return _make(data.reshape(x.shape), (x, gamma, beta), backward, op)
+
     mu = x.data.mean(axis=axes, keepdims=True)
     xc = x.data - mu
     inv = 1.0 / np.sqrt((xc * xc).mean(axis=axes, keepdims=True) + eps)
@@ -622,12 +687,18 @@ def _as_batched(x):
     raise DimensionError(f"expected rank 3 or 4 image tensor, got rank {x.ndim}")
 
 
+# bytes of im2col matrix one block of conv2d's forward may hold; a block
+# holds whole samples, at least one
+_IM2COL_BLOCK_BYTES = 8 << 20
+
+
 def _im2col(xp, kh, kw, Ho, Wo):
-    """View of all stride-1 sliding windows, shape (B, Ho, Wo, kh, kw, C)."""
+    """View of all stride-1 sliding windows of a C-contiguous xp, shape
+    (B, Ho, Wo, kh, kw, C). The ndarray constructor sets it up in a fifth of
+    `as_strided`'s time, which counts on small maps."""
     sB, sH, sW, sC = xp.strides
     shape = (xp.shape[0], Ho, Wo, kh, kw, xp.shape[3])
-    strides = (sB, sH, sW, sH, sW, sC)
-    return np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides)
+    return np.ndarray(shape, xp.dtype, xp, 0, (sB, sH, sW, sH, sW, sC))
 
 
 def _pad_hw(x, ph, pw):
@@ -663,16 +734,23 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     Ho = H + 2 * padding - kh + 1
     Wo = W + 2 * padding - kw + 1
 
-    xp = _pad_hw(xb.data, padding, padding) if padding else xb.data
+    xp = _pad_hw(xb.data, padding, padding) if padding else np.ascontiguousarray(xb.data)
 
-    def cols():
-        """The im2col matrix (B*Ho*Wo, kh*kw*C), tap-major like w's rows."""
-        cols = np.ascontiguousarray(_im2col(xp, kh, kw, Ho, Wo))
-        return cols.reshape(B * Ho * Wo, kh * kw * C)
+    def cols(xs):
+        """The im2col matrix of samples xs (len(xs)*Ho*Wo, kh*kw*C), tap-major
+        like w's rows."""
+        cols = np.ascontiguousarray(_im2col(xs, kh, kw, Ho, Wo))
+        return cols.reshape(-1, kh * kw * C)
 
-    out = cols() @ w.data.reshape(kh * kw * C, Cout)
+    # the forward builds im2col for a block of samples at a time; GEMM rows
+    # are independent, so each block's product equals those rows of one GEMM
+    w2 = w.data.reshape(kh * kw * C, Cout)
+    out = np.empty((B * Ho * Wo, Cout), dtype=np.result_type(xp, w2))
+    per = max(1, _IM2COL_BLOCK_BYTES // (Ho * Wo * kh * kw * C * xp.itemsize))
+    for s in range(0, B, per):
+        np.matmul(cols(xp[s:s + per]), w2, out=out[s * Ho * Wo:(s + per) * Ho * Wo])
     if b is not None:
-        out = out + b.data
+        out += b.data
     data = out.reshape(B, Ho, Wo, Cout)
 
     # the graph keeps only xp: backward rebuilds the same im2col matrix for
@@ -681,7 +759,7 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     def backward(g):
         g2 = g.reshape(B * Ho * Wo, Cout)
         if w.requires_grad:
-            _accum(w, (cols().T @ g2).reshape(w.shape))
+            _accum(w, (cols(xp).T @ g2).reshape(w.shape))
         if b is not None and b.requires_grad:
             _accum(b, g2.sum(axis=0))
         if xb.requires_grad:
@@ -711,21 +789,31 @@ def depthwise_conv2d(x, w, b=None):
         raise DimensionError("depthwise_conv2d: channel mismatch")
     ph, pw = kh // 2, kw // 2
     xp = _pad_hw(xb.data, ph, pw)
-    cols = _im2col(xp, kh, kw, H, W)
-    data = np.einsum("bhwijc,ijc->bhwc", cols, w.data, optimize=True)
+    taps = list(np.ndindex(kh, kw))
+    # one pass per tap, each over a shifted view of xp: a per-pixel
+    # contraction over the kh*kw taps would run a 9-long inner loop
+    data = xp[:, :H, :W] * w.data[0, 0]
+    prod = np.empty_like(data)
+    for i, j in taps[1:]:
+        data += np.multiply(xp[:, i:i + H, j:j + W], w.data[i, j], out=prod)
     if b is not None:
-        data = data + b.data
+        data += b.data
 
     def backward(g):
+        ones = np.ones(B * H * W, dtype=g.dtype)
         if w.requires_grad:
-            _accum(w, np.einsum("bhwijc,bhwc->ijc", cols, g, optimize=True))
+            gw = np.empty_like(w.data)
+            prod = np.empty_like(g)
+            for i, j in taps:
+                np.multiply(xp[:, i:i + H, j:j + W], g, out=prod)
+                gw[i, j] = ones @ prod.reshape(-1, C)
+            _accum(w, gw)
         if b is not None and b.requires_grad:
-            _accum(b, g.sum(axis=(0, 1, 2)))
+            _accum(b, ones @ g.reshape(-1, C))
         if xb.requires_grad:
             gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, i:i + H, j:j + W, :] += g * w.data[i, j]
+            for i, j in taps:
+                gxp[:, i:i + H, j:j + W, :] += g * w.data[i, j]
             _accum(xb, gxp[:, ph:ph + H, pw:pw + W, :])
 
     parents = (xb, w) if b is None else (xb, w, b)
@@ -747,20 +835,34 @@ def max_pool2d(x, window, stride):
     if H % k or W % k:
         raise DimensionError("max_pool2d: input extent not divisible by the window")
     taps = xb.data.reshape(B, H // k, k, W // k, k, C)
+    order = list(np.ndindex(k, k))
     data = taps[:, :, 0, :, 0].copy()
-    for i, j in list(np.ndindex(k, k))[1:]:
+    # for the backward, each cell's first tap holding the max: taps come in
+    # row-major order, so a tap strictly above the running max is the new
+    # first, and the largest such index wins
+    first = None
+    if _GRAD_ENABLED and xb.requires_grad:
+        first = np.zeros(data.shape, dtype=np.min_scalar_type(k * k - 1))
+        above = np.empty(data.shape, dtype=bool)
+    for t, (i, j) in enumerate(order[1:], start=1):
+        if first is not None:
+            np.greater(taps[:, :, i, :, j], data, out=above)
+            np.maximum(first, above * first.dtype.type(t), out=first)
         # the running max as the second operand keeps the earlier tap on a
         # tie, so a tie of signed zeros keeps the first one's sign
         np.maximum(taps[:, :, i, :, j], data, out=data)
 
     def backward(g):
-        hit = taps == data[:, :, None, :, None, :]
-        free = ~hit[:, :, 0, :, 0]                     # cells whose max is not yet found
-        for i, j in list(np.ndindex(k, k))[1:]:
-            first = hit[:, :, i, :, j]
-            first &= free                              # a view: clears later ties in hit
-            free ^= first
-        _accum(xb, np.where(hit, g[:, :, None, :, None, :], 0).reshape(B, H, W, C))
+        # each tap takes g where it is the cell's first and +0 elsewhere, by
+        # masking g's bits: exact (g * hit would give -0 or NaN off the
+        # mask), and without np.where's branch per element
+        bits = np.dtype(f"u{g.itemsize}")
+        gx = np.empty((B, H // k, k, W // k, k, C), dtype=g.dtype)
+        g_bits, gx_bits = g.view(bits), gx.view(bits)
+        for t, (i, j) in enumerate(order):
+            np.bitwise_and(g_bits, np.negative(first == t, dtype=bits),
+                           out=gx_bits[:, :, i, :, j])
+        _accum(xb, gx.reshape(B, H, W, C))
 
     res = _make(data, (xb,), backward, "max_pool2d")
     return reshape(res, res.shape[1:]) if squeeze else res

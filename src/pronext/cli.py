@@ -202,7 +202,8 @@ def cmd_explain(args):
     in_box = (y0 <= ys) & (ys < y1) & (x0 <= xs) & (xs < x1)
     peaks = np.where(in_box, maps, -np.inf).max(axis=(1, 2)).tolist()
     seg = explain_mod.seg_metrics(outer, ds.masks)
-    loc = explain_mod.loc_metrics(maps, ds.boxes, np.concatenate(logits), ds.labels, args.tau)
+    loc = explain_mod.loc_metrics(maps, box, ds.boxes, np.concatenate(logits), ds.labels,
+                                  args.tau)
 
     mask_dir = os.path.join(args.out, "masks")
     score_dir = os.path.join(args.out, "scores")

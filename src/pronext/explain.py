@@ -96,16 +96,17 @@ def box_ious(a, b):
 # ---------------------------------------------------------------------------
 
 
-def loc_metrics(maps, gt_boxes, class_scores, gt_classes, tau):
+def loc_metrics(maps, tau_boxes, gt_boxes, class_scores, gt_classes, tau):
     """GT-Known / Top-1 / Top-5 localization plus the max-box accuracies.
 
-    maps: (N, H, W) score maps in [0, 1]; gt_boxes: (N, 4) boxes;
-    class_scores: (N, K) classification scores; gt_classes: (N,) labels.
-    GT-K and Top-k take the `boxes` at `tau` and count a hit at IoU 0.5; the
-    max-box variants re-derive the boxes at every sweep threshold.
+    maps: (N, H, W) score maps in [0, 1]; tau_boxes: `boxes(maps, tau)`, which
+    the caller has made already; gt_boxes: (N, 4) boxes; class_scores: (N, K)
+    classification scores; gt_classes: (N,) labels. GT-K and Top-k count a
+    hit at IoU 0.5 of the `tau` boxes; the max-box variants derive the boxes
+    at every sweep threshold, reusing the `tau` boxes when `tau` is one.
     """
     n = len(maps)
-    if not (len(gt_boxes) == n and len(class_scores) == n and len(gt_classes) == n):
+    if not (len(tau_boxes) == len(gt_boxes) == len(class_scores) == len(gt_classes) == n):
         raise InputError("loc_metrics: inputs must have equal length")
     class_scores = np.asarray(class_scores)
     gt_classes = np.asarray(gt_classes)
@@ -113,12 +114,13 @@ def loc_metrics(maps, gt_boxes, class_scores, gt_classes, tau):
     k = min(5, class_scores.shape[1])
     top5 = np.argsort(-class_scores, axis=1)[:, :k]
 
-    known = box_ious(boxes(maps, tau), gt_boxes) >= 0.5
+    known = box_ious(tau_boxes, gt_boxes) >= 0.5
     gt_k = float(known.mean())
     top1_loc = float((known & (top1 == gt_classes)).mean())
     top5_loc = float((known & (top5 == gt_classes[:, None]).any(axis=1)).mean())
 
-    sweep = np.stack([box_ious(boxes(maps, t), gt_boxes) for t in V1_THRESHOLDS])
+    sweep = np.stack([box_ious(tau_boxes if t == tau else boxes(maps, t), gt_boxes)
+                      for t in V1_THRESHOLDS])
     v1 = float(max((sweep >= 0.5).mean(axis=1)))
     v2 = float(np.mean([max((sweep >= delta).mean(axis=1)) for delta in V2_IOU_LEVELS]))
     return {"gt_known": gt_k, "top1_loc": top1_loc, "top5_loc": top5_loc,

@@ -336,9 +336,10 @@ def test_criterion_8_metric_correctness():
     box_map = np.zeros((16, 16))
     box_map[2:9, 3:10] = 1.0
     gt = np.array([(3, 2, 10, 9)])
-    perfect = explain.loc_metrics(box_map[None], gt, np.eye(2)[:1], [0], 0.5)
+    tau_boxes = explain.boxes(box_map[None], 0.5)
+    perfect = explain.loc_metrics(box_map[None], tau_boxes, gt, np.eye(2)[:1], [0], 0.5)
     assert all(v == 1.0 for v in perfect.values())
-    wrong_cls = explain.loc_metrics(box_map[None], gt, np.eye(2)[[1]], [0], 0.5)
+    wrong_cls = explain.loc_metrics(box_map[None], tau_boxes, gt, np.eye(2)[[1]], [0], 0.5)
     assert wrong_cls["gt_known"] == 1.0 and wrong_cls["top1_loc"] == 0.0
 
     # ten segmentation cases (counting pixels by hand)

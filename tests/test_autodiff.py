@@ -6,6 +6,9 @@ the kernel under test.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -68,6 +71,48 @@ def conv2d_im2col_oracle(x, w, b, padding, g):
             gxp[:, i:i + Ho, j:j + Wo, :] += gcols[:, :, :, i, j, :]
     return (out.reshape(B, Ho, Wo, Cout), (cols.T @ g2).reshape(w.shape), g2.sum(axis=0),
             gxp[:, p:p + H, p:p + W, :])
+
+
+def gelu_oracle(x, g):
+    """GELU (tanh form) and its input gradient for upstream g, evaluated as
+    the expressions read."""
+    c = math.sqrt(2.0 / math.pi)
+    xx = x * x
+    t = np.tanh(c * (x + 0.044715 * (xx * x)))
+    d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 0.134145 * xx)
+    return 0.5 * x * (1.0 + t), g * d
+
+
+def block_norm_oracle(x, gamma, beta, g, eps=1e-5):
+    """block_norm in float64 numpy: (output, x, gamma and beta gradients)."""
+    x, gamma, beta, g = (np.asarray(a, dtype=np.float64) for a in (x, gamma, beta, g))
+    n = x.shape[1] * x.shape[2]
+    xc = x - x.mean(axis=(1, 2), keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=(1, 2), keepdims=True) + eps)
+    xhat = xc * inv
+    gy = g * gamma
+    gx = inv / n * (n * gy - gy.sum(axis=(1, 2), keepdims=True)
+                    - xhat * (gy * xhat).sum(axis=(1, 2), keepdims=True))
+    return xhat * gamma + beta, gx, (g * xhat).sum(axis=(0, 1, 2)), g.sum(axis=(0, 1, 2))
+
+
+def depthwise_einsum_oracle(x, w, b, g):
+    """Depthwise conv as one contraction over the (B, H, W, kh, kw, C)
+    sliding-window view: (output, x, w and b gradients). x (B, H, W, C),
+    w (kh, kw, C), g like x."""
+    B, H, W, C = x.shape
+    kh, kw, _ = w.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    cols = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    cols = cols.transpose(0, 1, 2, 4, 5, 3)
+    out = np.einsum("bhwijc,ijc->bhwc", cols, w, optimize=True) + b
+    gw = np.einsum("bhwijc,bhwc->ijc", cols, g, optimize=True)
+    gxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, i:i + H, j:j + W, :] += g * w[i, j]
+    return out, gxp[:, ph:ph + H, pw:pw + W, :], gw, g.sum(axis=(0, 1, 2))
 
 
 def bilinear_oracle(f, r, c):
@@ -244,6 +289,22 @@ class TestConv2d:
         # the output and the padded input; the im2col matrix alone is 9x the input
         assert kept < 3 * (x.data.nbytes + out.data.nbytes)
 
+    def test_forward_builds_im2col_one_block_at_a_time(self):
+        # the S/8 stem conv: its full im2col matrix would be 37.7 MB
+        rng = np.random.default_rng(6)
+        x = ad.Tensor(rng.standard_normal((8, 64, 64, 32)))
+        w = ad.Tensor(rng.standard_normal((3, 3, 32, 32)) * 0.1)
+        padded = 8 * 66 * 66 * 32 * x.data.itemsize
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = ad.conv2d(x, w, padding=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < padded + out.data.nbytes + ad._IM2COL_BLOCK_BYTES
+
     def test_shape_errors(self):
         x = ad.Tensor(np.zeros((4, 4, 2)))
         with pytest.raises(DimensionError):
@@ -253,6 +314,33 @@ class TestConv2d:
         for stride in (0, 2):
             with pytest.raises(DimensionError):
                 ad.conv2d(x, ad.Tensor(np.zeros((1, 1, 2, 1))), stride=stride)
+
+
+class TestDepthwiseConv:
+    @pytest.mark.parametrize("B,P,C", [(8, 8, 384), (8, 4, 384), (8, 2, 384),
+                                       (16, 8, 16), (16, 4, 16), (16, 2, 16)])
+    def test_float32_matches_einsum_oracle(self, B, P, C):
+        # the token grids of S/8 at 64 px (B=8) and of the desk config (B=16)
+        rng = np.random.default_rng(P * C)
+        x = ad.Tensor(rng.standard_normal((B, P, P, C)), requires_grad=True)
+        w = ad.Tensor(rng.standard_normal((3, 3, C)) * 0.4, requires_grad=True)
+        b = ad.Tensor(rng.standard_normal(C) * 0.1, requires_grad=True)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        out = ad.depthwise_conv2d(x, w, b)
+        out.backward(g)
+        want = depthwise_einsum_oracle(x.data, w.data, b.data, g)
+        for name, a, e in zip(("out", "x", "w", "b"), (out.data, x.grad, w.grad, b.grad), want):
+            share = float(np.abs(a - e).max() / np.abs(e).max())
+            assert a.dtype == np.float32 and share <= 2e-6, f"{name}: {share:.2e} of the largest"
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(33)
+        with ad.precision("float64"):
+            ts = [ad.Tensor(rng.standard_normal((2, 5, 4, 3)), requires_grad=True),
+                  ad.Tensor(rng.standard_normal((3, 3, 3)) * 0.4, requires_grad=True),
+                  ad.Tensor(rng.standard_normal(3) * 0.1, requires_grad=True)]
+            rep = grad_check(lambda ts: ad.depthwise_conv2d(*ts), ts, tol=1e-5, rng=rng)
+        assert rep.passed, str(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -800,9 +888,10 @@ class TestGradCheck:
         assert not rep.passed
 
     def test_roundoff_near_zero_gradient_passes_at_fine_step(self):
-        # whole-model soft-mask check, seed 1: attn.wq[1,1] has a true gradient
-        # of -4.77e-7 that cancellation roundoff swamps at eps=2.5e-7; a retry
-        # at the smaller step alone made it worse (rel err 2.3e-4)
+        # whole-model soft-mask check, seed 214: attn.wq[0,6] has a true
+        # gradient of 3.86e-6 that cancellation roundoff swamps at eps=2.5e-7
+        # (rel err 1.13e-4); a retry at the smaller step alone made it worse
+        # (rel err 1.57e-4), the larger step clears it (1.3e-5)
         cfg = M.ModelConfig(input_size=16, stem_channels=2, patch_size=2,
                             embed_dim=8, ca_layers=1, ca_heads=2,
                             num_classes=3).validate()
@@ -810,8 +899,8 @@ class TestGradCheck:
         target[0, 1] = 1.0
 
         def check(kink_retry_scale):
-            rng = np.random.default_rng(1_001)
-            model = M.ProNextModel(cfg, seed=1)
+            rng = np.random.default_rng(1_214)
+            model = M.ProNextModel(cfg, seed=214)
             model.mlp_w2.data = rng.standard_normal(model.mlp_w2.shape) * 0.2
             x = ad.Tensor(rng.standard_normal((1, 16, 16, 3)), requires_grad=True)
 
@@ -827,7 +916,7 @@ class TestGradCheck:
             single_step = check(0)
             retried = check(0.25)
         # the case still exercises roundoff: the single fine step fails it
-        assert [(f.input_index, f.coord) for f in single_step.failures] == [(1, (1, 1))]
+        assert [(f.input_index, f.coord) for f in single_step.failures] == [(1, (0, 6))]
         assert retried.passed, str(retried)
 
     @pytest.mark.parametrize("eps", [1e-5, 2.5e-7])
@@ -964,6 +1053,37 @@ class TestElementwiseAndNorms:
         sd = np.sqrt(((x - mu) ** 2).mean(axis=axes, keepdims=True) + 1e-5)
         np.testing.assert_allclose(out.data, (x - mu) / sd * g + b, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("B,H,C", [(16, 32, 8), (16, 16, 16), (16, 8, 32), (16, 4, 64),
+                                       (8, 64, 32), (8, 32, 64), (8, 16, 128), (8, 8, 256)])
+    def test_block_norm_float32_matches_float64_oracle(self, B, H, C):
+        # the conv-block maps of the desk config (B=16) and of S/8 at 64 px (B=8)
+        rng = np.random.default_rng(H * C)
+        x = ad.Tensor(2.0 * rng.standard_normal((B, H, H, C)) + 0.5, requires_grad=True)
+        g = ad.Tensor(1 + 0.1 * rng.standard_normal(C), requires_grad=True)
+        b = ad.Tensor(0.1 * rng.standard_normal(C), requires_grad=True)
+        up = rng.standard_normal(x.shape).astype(np.float32)
+        out = ad.block_norm(x, g, b)
+        out.backward(up)
+        want = block_norm_oracle(x.data, g.data, b.data, up)
+        for name, a, e in zip(("out", "x", "gamma", "beta"), (out.data, x.grad, g.grad, b.grad),
+                              want):
+            share = float(np.abs(a - e).max() / np.abs(e).max())
+            assert a.dtype == np.float32 and share <= 1e-5, f"{name}: {share:.2e} of the largest"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_bit_identical_to_the_formula(self, dtype):
+        rng = np.random.default_rng(30)
+        x = (3.0 * rng.standard_normal((4, 16, 16, 8))).astype(dtype)
+        x.reshape(-1)[:10] = [0.0, -0.0, 1e-40, -1e-40, 1e-20, -1e-20, 8.0, -8.0, 30.0, -30.0]
+        g = rng.standard_normal(x.shape).astype(dtype)
+        t = ad.Tensor(x, requires_grad=True, dtype=dtype)
+        out = ad.gelu(t)
+        out.backward(g)
+        want, want_grad = gelu_oracle(x, g)
+        assert out.data.dtype == t.grad.dtype == dtype
+        assert out.data.tobytes() == want.tobytes()
+        assert t.grad.tobytes() == want_grad.tobytes()
+
     def test_softmax_weighted_matches_renormalized_softmax(self):
         rng = np.random.default_rng(26)
         z = rng.standard_normal((2, 5))
@@ -1006,3 +1126,45 @@ class TestElementwiseAndNorms:
             np.testing.assert_array_equal(up.data[0, :4, :4, 0], np.full((4, 4), x.data[0, 0, 0, 0]))
             ad.reduce_sum(up).backward()
             np.testing.assert_allclose(x.grad, 16.0)
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread count
+# ---------------------------------------------------------------------------
+
+
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from pronext import autodiff as ad
+
+rng = np.random.default_rng(0)
+digest = hashlib.sha256()
+
+def T(*shape, scale=1.0):
+    return ad.Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
+
+for op, args in [
+        (ad.block_norm, (T(8, 64, 64, 32), T(32), T(32))),
+        (ad.depthwise_conv2d, (T(8, 8, 8, 384), T(3, 3, 384, scale=0.4), T(384))),
+        (lambda x, w: ad.conv2d(x, w, padding=1), (T(8, 32, 32, 64), T(3, 3, 64, 64, scale=0.1)))]:
+    out = op(*args)
+    out.backward(rng.standard_normal(out.shape).astype(np.float32))
+    for a in (out.data,) + tuple(t.grad for t in args):
+        digest.update(a.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_kernels_do_not_depend_on_the_blas_thread_count():
+    # seeded float32 forward and backward of the kernels that sum through BLAS
+    import pronext
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pronext.__file__)))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                             capture_output=True, text=True, check=True, timeout=300)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]

@@ -8,6 +8,7 @@ import pytest
 
 from pronext import checkpoint as ckpt
 from pronext import cli, netpbm
+from pronext import explain as explain_mod
 from pronext import model as M
 from pronext import train as T
 
@@ -142,6 +143,17 @@ class TestEvalAndExplain:
             rows.append((exp_dir / "metrics.csv").read_bytes()
                         + (exp_dir / "boxes.csv").read_bytes())
         assert rows[0] == rows[1]
+
+    def test_explain_labels_each_threshold_once(self, workspace, monkeypatch):
+        rc, out = run_train(workspace, "runI")
+        tmp_path, *_, data_dir = workspace
+        seen, real = [], explain_mod.boxes
+        monkeypatch.setattr(explain_mod, "boxes", lambda m, t: seen.append(float(t)) or real(m, t))
+        rc = cli.main(["explain", "--checkpoint", str(out / "final.ckpt"),
+                       "--data", data_dir, "--out", str(tmp_path / "exp_once"), "--quiet"])
+        assert rc == 0
+        # the default tau 0.5 is one of the sweep's thresholds
+        assert sorted(seen) == sorted(explain_mod.V1_THRESHOLDS.tolist())
 
     def test_explain_stage_out_of_range_exit_1(self, workspace):
         rc, out = run_train(workspace, "runH")

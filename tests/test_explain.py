@@ -136,6 +136,11 @@ class TestMapToBbox:
             explain.boxes(np.zeros((2, 4, 4)), 1.0)
 
 
+def loc_metrics(maps, gt_boxes, class_scores, gt_classes, tau):
+    return explain.loc_metrics(maps, explain.boxes(maps, tau), gt_boxes, class_scores,
+                               gt_classes, tau)
+
+
 class TestLocMetrics:
     def make_aligned(self, n=4, H=16):
         maps = np.stack([rect_map(H, H, 2, 9, 3, 10)] * n)
@@ -144,14 +149,14 @@ class TestLocMetrics:
     def test_perfect_predictions(self):
         maps, gts = self.make_aligned()
         scores = np.eye(4)
-        metrics = explain.loc_metrics(maps, gts, scores, np.arange(4), 0.5)
+        metrics = loc_metrics(maps, gts, scores, np.arange(4), 0.5)
         assert metrics == {"gt_known": 1.0, "top1_loc": 1.0, "top5_loc": 1.0,
                            "max_box_acc_v1": 1.0, "max_box_acc_v2": 1.0}
 
     def test_wrong_classes_perfect_boxes(self):
         maps, gts = self.make_aligned()
         scores = np.eye(4)[[1, 2, 3, 0]]            # every top-1 wrong
-        metrics = explain.loc_metrics(maps, gts, scores, np.arange(4), 0.5)
+        metrics = loc_metrics(maps, gts, scores, np.arange(4), 0.5)
         assert metrics["gt_known"] == 1.0
         assert metrics["top1_loc"] == 0.0
 
@@ -160,14 +165,14 @@ class TestLocMetrics:
         scores = np.zeros((4, 6))
         scores[:, 0] = 5.0                          # top-1 always class 0
         scores[np.arange(4), np.arange(4) + 1] = 4.0
-        metrics = explain.loc_metrics(maps, gts, scores, np.arange(1, 5), 0.5)
+        metrics = loc_metrics(maps, gts, scores, np.arange(1, 5), 0.5)
         assert metrics["top1_loc"] == 0.0
         assert metrics["top5_loc"] == 1.0
 
     def test_small_iou_counts_as_miss(self):
         # unit-cell boxes (0,0,2,2) vs (1,1,3,3): IoU = 1/7 < 0.5
         maps = rect_map(8, 8, 0, 2, 0, 2)[None]
-        metrics = explain.loc_metrics(maps, np.array([(1, 1, 3, 3)]), np.eye(2)[:1], [0], 0.5)
+        metrics = loc_metrics(maps, np.array([(1, 1, 3, 3)]), np.eye(2)[:1], [0], 0.5)
         assert metrics["gt_known"] == 0.0
 
     def test_v1_sweep_recovers_threshold_sensitive_box(self):
@@ -175,7 +180,7 @@ class TestLocMetrics:
         m = np.zeros((12, 12))
         m[2:8, 2:8] = 0.6
         m[0:12, 0:2] = 0.25                        # low-value distractor strip
-        metrics = explain.loc_metrics(m[None], np.array([(2, 2, 8, 8)]), np.eye(2)[:1],
+        metrics = loc_metrics(m[None], np.array([(2, 2, 8, 8)]), np.eye(2)[:1],
                                       [0], 0.2)
         assert metrics["gt_known"] == 0.0           # tau 0.2 joins square and strip
         assert metrics["max_box_acc_v1"] == 1.0     # some tau isolates the square
@@ -184,7 +189,7 @@ class TestLocMetrics:
         # box with IoU ~ 0.39 vs gt: hits delta=0.3, misses 0.5 and 0.7
         maps = rect_map(16, 16, 0, 8, 0, 8)[None]
         gt = np.array([(2, 2, 10, 10)])
-        metrics = explain.loc_metrics(maps, gt, np.eye(2)[:1], [0], 0.5)
+        metrics = loc_metrics(maps, gt, np.eye(2)[:1], [0], 0.5)
         iou = explain.box_ious(np.array([(0, 0, 8, 8)]), gt)[0]
         assert 0.3 <= iou < 0.5
         assert metrics["max_box_acc_v2"] == pytest.approx(1.0 / 3.0)
@@ -197,13 +202,25 @@ class TestLocMetrics:
             x0, y0 = rng.integers(0, 8, 2)
             gts.append((int(x0), int(y0), int(x0) + 8, int(y0) + 8))
         scores = rng.random((12, 3))
-        metrics = explain.loc_metrics(maps, np.array(gts), scores, rng.integers(0, 3, 12), 0.5)
+        metrics = loc_metrics(maps, np.array(gts), scores, rng.integers(0, 3, 12), 0.5)
         assert metrics["max_box_acc_v1"] >= metrics["gt_known"] - 1e-12
+
+    @pytest.mark.parametrize("tau", [0.5, 0.33])
+    def test_labels_each_sweep_threshold_once(self, monkeypatch, tau):
+        # the caller's tau boxes stand in for the sweep's when tau is one of
+        # its thresholds
+        maps, gts = self.make_aligned()
+        tau_boxes = explain.boxes(maps, tau)
+        seen, real = [], explain.boxes
+        monkeypatch.setattr(explain, "boxes", lambda m, t: seen.append(float(t)) or real(m, t))
+        metrics = explain.loc_metrics(maps, tau_boxes, gts, np.eye(4), np.arange(4), tau)
+        assert sorted(seen) == sorted(set(explain.V1_THRESHOLDS.tolist()) - {tau})
+        assert metrics == loc_metrics(maps, gts, np.eye(4), np.arange(4), tau)
 
     def test_length_mismatch(self):
         maps = rect_map(4, 4, 0, 2, 0, 2)[None]
         with pytest.raises(InputError):
-            explain.loc_metrics(maps, np.array([(0, 0, 2, 2)] * 2), np.eye(2)[:1], [0], 0.5)
+            loc_metrics(maps, np.array([(0, 0, 2, 2)] * 2), np.eye(2)[:1], [0], 0.5)
 
 
 class TestSegMetrics:
