@@ -4,11 +4,12 @@ A Tensor wraps one ndarray; the functions below are the only way to build
 on it (there are no operator overloads) and each records an implicit graph
 of backward closures. The kernel set is exactly what the recognition model
 needs: convolution, non-overlapping max and mean pooling, bilinear sampling
-(for deformable convolution), scaled dot-product cross attention, one
-normalization kernel (`layer_norm` over the last axis, `block_norm` over
-H and W), and the pointwise glue the model uses. Training runs in float32;
-gradient checking switches the default dtype to float64 via the `precision`
-context manager.
+(for deformable convolution), scaled dot-product cross attention, two
+normalization kernels, each with its own body (`layer_norm` over the last
+axis, `block_norm` over H and W), and the pointwise glue the model uses.
+Operands are Tensors; constants enter through `mul_const`. Training runs in
+float32; gradient checking switches the default dtype to float64 via the
+`precision` context manager.
 
 A graph is single-use. `Tensor.backward` releases each op node as soon as
 its closure has run: the node's gradient, closure and parent links go, so
@@ -167,10 +168,6 @@ class Tensor:
                 step(g)
 
 
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def topo_order(root):
     """Operations reachable from `root`, in topological order (iterative DFS)."""
     order = []
@@ -240,7 +237,6 @@ def _row_matrix(weights, cols, n_cols):
 
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     data = a.data + b.data
 
     def backward(g):
@@ -251,7 +247,6 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     data = a.data - b.data
 
     def backward(g):
@@ -262,7 +257,6 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     data = a.data * b.data
 
     def backward(g):
@@ -273,7 +267,6 @@ def mul(a, b):
 
 
 def div(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     data = a.data / b.data
 
     def backward(g):
@@ -399,7 +392,6 @@ def transpose(a, axes):
 
 
 def concat(tensors, axis=0):
-    tensors = [_as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
     splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
@@ -540,80 +532,73 @@ def linear(x, w, b=None):
 # ---------------------------------------------------------------------------
 
 
-def _normalize(x, gamma, beta, axes, eps, op):
-    """Standardize x over `axes`, then scale and shift per channel.
+NORM_EPS = 1e-5
 
-    Over the last axis numpy's reductions run along contiguous memory. Over
-    (1, 2) of a channels-last (B, H, W, C) map they would run a C-long inner
-    loop (C is as small as 2), so that case works on x as (B, H, W*C) rows:
-    every per-(sample, channel) sum over H*W is a ones-vector GEMV, and every
-    per-channel vector is tiled W times, so each broadcast runs along a whole
-    W*C row.
-    """
-    if axes == (1, 2):
-        B, H, W, C = x.shape
-        n = H * W
-        ones = np.ones(n, dtype=x.dtype)
 
-        def sums(a):                  # (B, H, W*C) -> (B, C), summed over H*W
-            return ones @ a.reshape(B, n, C)
-
-        def rows(v):                  # (..., C) -> (..., 1, W*C)
-            return v[..., None, :].repeat(W, axis=-2).reshape(v.shape[:-1] + (1, W * C))
-
-        xr = x.data.reshape(B, H, W * C)
-        xc = xr - rows(sums(xr) / n)
-        data = xc * xc
-        inv = 1.0 / np.sqrt(sums(data) / n + eps)
-        scale = gamma.data * inv                       # xhat = xc * inv
-        np.multiply(xc, rows(scale), out=data)
-        data += rows(beta.data)
-
-        def backward(g):
-            g = g.reshape(xr.shape)
-            gxc = g * xc
-            sum_gxhat, sum_g = inv * sums(gxc), sums(g)
-            _accum(gamma, sum_gxhat.sum(axis=0))
-            _accum(beta, sum_g.sum(axis=0))
-            if x.requires_grad:
-                # gamma inv (g - sum(g)/n - xhat sum(g xhat)/n)
-                gx = g * rows(scale)
-                gx -= np.multiply(xc, rows(scale * inv * sum_gxhat / n), out=gxc)
-                gx -= rows(scale * sum_g / n)
-                _accum(x, gx.reshape(x.shape))
-
-        return _make(data.reshape(x.shape), (x, gamma, beta), backward, op)
-
-    mu = x.data.mean(axis=axes, keepdims=True)
+def layer_norm(x, gamma, beta):
+    """Normalize the last axis; per-feature scale and shift."""
+    mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=axes, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + NORM_EPS)
     xhat = xc * inv
     data = xhat * gamma.data + beta.data
-    n = math.prod(x.shape[ax] for ax in axes)
+    n = x.shape[-1]
 
     def backward(g):
         gy = g * gamma.data
         _accum(gamma, _sum_to(g * xhat, gamma.shape))
         _accum(beta, _sum_to(g, beta.shape))
-        gsum = gy.sum(axis=axes, keepdims=True)
-        gxhat = (gy * xhat).sum(axis=axes, keepdims=True)
+        gsum = gy.sum(axis=-1, keepdims=True)
+        gxhat = (gy * xhat).sum(axis=-1, keepdims=True)
         _accum(x, inv / n * (n * gy - gsum - xhat * gxhat))
 
-    return _make(data, (x, gamma, beta), backward, op)
+    return _make(data, (x, gamma, beta), backward, "layer_norm")
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalize the last axis; per-feature scale and shift."""
-    return _normalize(x, gamma, beta, (-1,), eps, "layer_norm")
-
-
-def block_norm(x, gamma, beta, eps=1e-5):
+def block_norm(x, gamma, beta):
     """Batch-statistics-free per-channel normalization over (H, W).
 
     x: (B, H, W, C); gamma, beta: (C,). Each sample's channel is standardized
     over its own spatial extent, so train and eval behave identically.
+
+    Over H and W of a channels-last map numpy's reductions would run a C-long
+    inner loop (C is as small as 2), so the kernel works on x as (B, H, W*C)
+    rows: every per-(sample, channel) sum over H*W is a ones-vector GEMV, and
+    every per-channel vector is tiled W times, so each broadcast runs along a
+    whole W*C row.
     """
-    return _normalize(x, gamma, beta, (1, 2), eps, "block_norm")
+    B, H, W, C = x.shape
+    n = H * W
+    ones = np.ones(n, dtype=x.dtype)
+
+    def sums(a):                  # (B, H, W*C) -> (B, C), summed over H*W
+        return ones @ a.reshape(B, n, C)
+
+    def rows(v):                  # (..., C) -> (..., 1, W*C)
+        return v[..., None, :].repeat(W, axis=-2).reshape(v.shape[:-1] + (1, W * C))
+
+    xr = x.data.reshape(B, H, W * C)
+    xc = xr - rows(sums(xr) / n)
+    data = xc * xc
+    inv = 1.0 / np.sqrt(sums(data) / n + NORM_EPS)
+    scale = gamma.data * inv                       # xhat = xc * inv
+    np.multiply(xc, rows(scale), out=data)
+    data += rows(beta.data)
+
+    def backward(g):
+        g = g.reshape(xr.shape)
+        gxc = g * xc
+        sum_gxhat, sum_g = inv * sums(gxc), sums(g)
+        _accum(gamma, sum_gxhat.sum(axis=0))
+        _accum(beta, sum_g.sum(axis=0))
+        if x.requires_grad:
+            # gamma inv (g - sum(g)/n - xhat sum(g xhat)/n)
+            gx = g * rows(scale)
+            gx -= np.multiply(xc, rows(scale * inv * sum_gxhat / n), out=gxc)
+            gx -= rows(scale * sum_g / n)
+            _accum(x, gx.reshape(x.shape))
+
+    return _make(data.reshape(x.shape), (x, gamma, beta), backward, "block_norm")
 
 
 def softmax_weighted(x, weights):
@@ -882,12 +867,7 @@ def patch_avg_pool(x, k):
 
 
 def global_avg_pool(x):
-    """Mean over all non-channel positions.
-
-    (N, C) -> (C,); (H, W, C) -> (C,); (B, H, W, C) -> (B, C).
-    """
-    if x.ndim == 2:
-        return reduce_mean(x, axis=0)
+    """Mean over all spatial positions: (H, W, C) -> (C,); (B, H, W, C) -> (B, C)."""
     if x.ndim == 3:
         return reduce_mean(x, axis=(0, 1))
     if x.ndim == 4:
@@ -897,7 +877,7 @@ def global_avg_pool(x):
 
 def sine_act(x, a, w):
     """Conditional periodic activation a * sin(w * x); a, w broadcast over x."""
-    return mul(_as_tensor(a), sin(mul(_as_tensor(w), x)))
+    return mul(a, sin(mul(w, x)))
 
 
 def bilinear_sample(feature, coords):

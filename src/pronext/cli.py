@@ -101,7 +101,9 @@ def _parse_pairs(spec_str):
 
 
 def cmd_gen_data(args):
-    # generating first rejects bad arguments before any file is written
+    # the seed check and generating reject bad arguments before any file is written
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     ds = data_mod.generate(args.task, args.n, np.random.default_rng(args.seed),
                            image_size=args.image_size, num_classes=args.classes)
     start_run(args, None, args.seed, f"task={args.task} n={args.n} "
@@ -156,10 +158,9 @@ def cmd_eval(args):
     datasets = _load_datasets_arg(args.data)
     _check_classes([ds for ds, _ in datasets], model.cfg)
     start_run(args, args.checkpoint, args.seed)
-    tcfg = train_mod.TrainConfig(crop=model.cfg.input_size, resize=model.cfg.input_size)
     lines = ["dataset,acc,loss"]
     for ds, _ in datasets:
-        acc, loss = train_mod.evaluate(model, ds, tcfg)
+        acc, loss = train_mod.evaluate(model, ds)
         lines.append(f"{ds.name},{acc:.6f},{loss:.6f}")
         print(lines[-1])
     with open(os.path.join(args.out, "eval.csv"), "w", encoding="utf-8") as fh:

@@ -69,9 +69,8 @@ def run_seeds(cell, train_cfg, seeds, progress=None):
     `train_cfg`, evaluate it on the held-out split and report the accuracy."""
     for seed in seeds:
         model = model_mod.ProNextModel(cell.cfg, seed=seed)
-        tcfg = replace(train_cfg, seed=seed)
-        train_mod.Trainer(model, tcfg, [(cell.train_ds, 1.0)]).run()
-        acc = train_mod.evaluate(model, cell.test_ds, tcfg)[0]
+        train_mod.Trainer(model, replace(train_cfg, seed=seed), [(cell.train_ds, 1.0)]).run()
+        acc = train_mod.evaluate(model, cell.test_ds)[0]
         cell.seed_accs.append(acc)
         if progress:
             progress(f"{'/'.join(map(str, cell.key))}/seed{seed}: acc {acc:.3f}")
@@ -91,17 +90,8 @@ def ablation_csv(cells, tasks):
 def spearman_rank_correlation(xs, ys):
     """Spearman rho with average ranks on ties; nan when either ranking is
     constant (fewer than two distinct values), where rho is undefined."""
-    def ranks(v):
-        v = np.asarray(v, dtype=np.float64)
-        order = np.argsort(v, kind="stable")
-        r = np.empty(len(v))
-        r[order] = np.arange(1, len(v) + 1)
-        for val in np.unique(v):
-            mask = v == val
-            if mask.sum() > 1:
-                r[mask] = r[mask].mean()
-        return r
-    rx, ry = ranks(xs), ranks(ys)
+    from scipy import stats   # imported here: it loads scipy.ndimage, which the CLI keeps out
+    rx, ry = stats.rankdata(xs), stats.rankdata(ys)
     rx -= rx.mean()
     ry -= ry.mean()
     denom = np.sqrt((rx ** 2).sum() * (ry ** 2).sum())

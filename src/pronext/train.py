@@ -1,11 +1,12 @@
 """End-to-end optimization: augmentation, MixUp, AdamW, the training loop,
 and checkpoint/resume.
 
-Recipe at desk scale: bilinear resize, random crop (center crop at eval),
-horizontal flips, MixUp, adaptive moments with decoupled weight decay,
-constant learning rate. Weight init lives in the model (truncated normal
-std 0.02, zero biases, zero final layer). Multi-dataset training samples a
-dataset by weight each step, then a batch uniformly within it.
+Recipe at desk scale: bilinear resize, random crop, horizontal flips,
+MixUp, adaptive moments with decoupled weight decay, constant learning
+rate; evaluation only resizes to the model's input size. Weight init lives
+in the model (truncated normal std 0.02, zero biases, zero final layer).
+Multi-dataset training samples a dataset by weight each step, then a batch
+uniformly within it.
 
 Batch-level draws (dataset choice, indices, MixUp) come from one
 checkpointable master generator; per-sample augmentation streams derive from
@@ -54,7 +55,9 @@ class TrainConfig:
             raise ConfigError(f"crop must be in 1..resize ({self.resize}), got {self.crop}")
         if self.batch_size < 1 or self.steps < 0:
             raise ConfigError("batch_size >= 1 and steps >= 0 required")
-        for name in ("lr", "weight_decay"):
+        if self.seed < 0:   # numpy seeds only from non-negative integers
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("lr", "weight_decay", "mixup_alpha"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("beta1", "beta2"):  # AdamW's bias correction divides by 1 - beta**t
@@ -89,20 +92,17 @@ def bilinear_resize(img, out_side):
     return top * (1 - fr)[:, None, None] + bot * fr[:, None, None]
 
 
-def augment(image, cfg, rng, train=True):
-    """Resize -> crop (random in training, centered at eval) -> maybe flip."""
+def augment(image, cfg, rng):
+    """Training augmentation: resize -> random crop -> maybe flip."""
     if image.ndim != 3 or image.shape[0] < 2 or image.shape[1] < 2:
         raise InputError("augment: image must be at least 2x2 with channels")
     img = bilinear_resize(image, cfg.resize)
     pad = cfg.resize - cfg.crop
     if pad:
-        if train:
-            dy = int(rng.integers(0, pad + 1))
-            dx = int(rng.integers(0, pad + 1))
-        else:
-            dy = dx = pad // 2
+        dy = int(rng.integers(0, pad + 1))
+        dx = int(rng.integers(0, pad + 1))
         img = img[dy:dy + cfg.crop, dx:dx + cfg.crop, :]
-    if train and cfg.hflip_prob > 0 and rng.random() < cfg.hflip_prob:
+    if cfg.hflip_prob > 0 and rng.random() < cfg.hflip_prob:
         img = img[:, ::-1, :]
     return np.ascontiguousarray(img)
 
@@ -257,7 +257,7 @@ class Trainer:
         xs = []
         for j, idx in enumerate(indices):
             srng = _sample_rng(self.cfg.seed, step, j)
-            xs.append(augment(ds.images[idx], self.cfg, srng, train=True))
+            xs.append(augment(ds.images[idx], self.cfg, srng))
         x = np.stack(xs).astype(np.float32)
         y = ds.labels[indices]
         return x, y
@@ -378,14 +378,15 @@ def load_model_from_checkpoint(path):
 # ---------------------------------------------------------------------------
 
 
-def evaluate(model, dataset, cfg, batch_size=64):
-    """Center-crop evaluation; returns (accuracy, mean loss)."""
+def evaluate(model, dataset, batch_size=64):
+    """Accuracy and mean loss with every image resized to the model's input
+    size; returns (accuracy, mean loss)."""
     n = len(dataset)
     correct = 0
     losses = []
     for start in range(0, n, batch_size):
         idx = np.arange(start, min(start + batch_size, n))
-        x = np.stack([augment(dataset.images[i], cfg, None, train=False) for i in idx])
+        x = bilinear_resize(dataset.images[idx], model.cfg.input_size)
         y = one_hot(dataset.labels[idx], model.cfg.num_classes)
         with ad.no_grad():
             pred = model.forward(x.astype(np.float32))

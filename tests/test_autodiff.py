@@ -926,8 +926,8 @@ class TestGradCheck:
         rng = np.random.default_rng(24)
         with ad.precision("float64"):
             x = ad.Tensor(rng.uniform(-1, 1, 6), requires_grad=True)
-            rep = grad_check(lambda ts: ad.add(ad.gelu(ts[0]),
-                                               ad.stop_gradient(ad.mul(ad.gelu(ts[0]), 1e-3))),
+            rep = grad_check(lambda ts: ad.add(ad.gelu(ts[0]), ad.stop_gradient(
+                                 ad.mul_const(ad.gelu(ts[0]), 1e-3))),
                              [x], eps=eps)
         assert not rep.passed
         assert len(rep.failures) == rep.n_checked == 6

@@ -268,13 +268,20 @@ class TestMalformedInputs:
         (["scale-sweep", "--data", "{data}", "--pairs", "S/4", "--batch-size", "0"],
          "batch_size >= 1 and steps >= 0 required"),
         (["scale-sweep", "--data", "{data}", "--pairs", "S/4,S/8", "--steps", "1",
-          "--batch-size", "4"], "input_size 32 not divisible by patch_size * 2^3 = 64")],
+          "--batch-size", "4"], "input_size 32 not divisible by patch_size * 2^3 = 64"),
+        (["gen-data", "--task", "detail", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["train", "--data", "{data}", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["ablate", "--data", "{root}", "--tasks", "data", "--seed", "-1"],
+         "seed must be >= 0, got -1"),
+        (["scale-sweep", "--data", "{data}", "--pairs", "S/4", "--seed", "-1"],
+         "seed must be >= 0, got -1")],
         ids=["train_data_weight", "train_data_weight_nan", "train_data_weight_inf",
              "flops_pairs", "scale_sweep_pairs", "explain_tau", "gen_data_size_0",
              "gen_data_size_4", "gen_data_size_8", "gen_data_n_0", "gen_data_classes_0",
              "gen_data_structure_classes_3", "ablate_seeds_0", "scale_sweep_seeds_0",
              "ablate_batch_size_0", "ablate_lr_nan", "scale_sweep_batch_size_0",
-             "scale_sweep_variant_too_coarse"])
+             "scale_sweep_variant_too_coarse", "gen_data_seed_negative",
+             "train_seed_negative", "ablate_seed_negative", "scale_sweep_seed_negative"])
     def test_malformed_argument_exit_1(self, workspace, capsys, argv, message):
         tmp_path, model_cfg, train_cfg, data_dir = workspace
         argv = [a.format(data=data_dir, root=tmp_path) for a in argv]
@@ -383,6 +390,24 @@ class TestMalformedInputs:
         assert rc == 1
         assert err.startswith("configuration error:")
         assert "crop 28 does not match the model's input_size 32" in err
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("mixup_alpha = nan", "mixup_alpha must be finite, got nan"),
+        ("mixup_alpha = inf", "mixup_alpha must be finite, got inf"),
+        ("seed = -1", "seed must be >= 0, got -1")],
+        ids=["mixup_alpha_nan", "mixup_alpha_inf", "seed_negative"])
+    def test_train_config_out_of_range_exit_1(self, workspace, capsys, line, message):
+        tmp_path, model_cfg, train_cfg, data_dir = workspace
+        key = line.split(" = ")[0]
+        edited = tmp_path / "edited.cfg"
+        edited.write_text("".join(line + "\n" if l.startswith(key + " ") else l
+                                  for l in open(train_cfg)))
+        rc = cli.main(["train", "--config", model_cfg, "--train-config", str(edited),
+                       "--data", data_dir, "--out", str(tmp_path / "bad"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("configuration error:") and message in err
         assert not (tmp_path / "bad").exists()
 
 

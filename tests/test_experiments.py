@@ -5,6 +5,7 @@ through the benchmark's tracer, which patches package functions by name
 
 import importlib.util
 import os
+import sys
 import types
 
 import numpy as np
@@ -15,8 +16,9 @@ from pronext import autodiff, cli, data, gaze, parsers
 from pronext import model as M
 from pronext import train as T
 from pronext.experiments import ABLATION_ROWS, spearman_rank_correlation
+from pronext.gradcheck import grad_check
 
-TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
 def test_ladder_progress_order_and_median_cells(tmp_path, capsys):
@@ -76,9 +78,11 @@ class TestSpearman:
         assert spearman_rank_correlation(xs, -np.exp(xs)) == pytest.approx(-1.0, abs=1e-12)
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  os.path.join(PERFBENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module       # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
@@ -95,7 +99,7 @@ def test_benchmark_tracer_patch_points_exist():
     ds = data.generate("interaction", 4, np.random.default_rng(0), image_size=16)
     tcfg = T.TrainConfig(batch_size=2, steps=1, crop=16, resize=16, seed=0)
 
-    tracer = _load_tracer().Tracer()
+    tracer = _load_perfbench("tracer").Tracer()
     tracer.install(pn)
     try:
         tracer.phase = "train"
@@ -109,3 +113,23 @@ def test_benchmark_tracer_patch_points_exist():
     after = {(id(o), name): value for o in owners for name, value in vars(o).items()}
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def test_benchmark_kernel_checks_pass_under_the_tracer():
+    """One round of the benchmark's kernel gradient checks at its tiny shapes,
+    traced: every call form it uses still exists and all 14 reports pass."""
+    workloads = _load_perfbench("workloads")
+    pn = types.SimpleNamespace(ad=autodiff, parsers=parsers, gaze=gaze, model=M, train=T,
+                               grad_check=grad_check)
+    tracer = _load_perfbench("tracer").Tracer()
+    tracer.install(pn)
+    try:
+        tracer.phase = "gradcheck"
+        with autodiff.precision("float64"):
+            reports = workloads.kernel_checks(pn, np.random.default_rng(0), workloads.TINY_SHAPES,
+                                              workloads.CheckCounter(autodiff, tracer))
+    finally:
+        tracer.restore()
+    assert len(reports) == 14
+    assert [name for name, rep in reports.items() if not rep.passed] == []
+    assert tracer.ncalls("gradcheck", "autodiff.block_norm") > 0

@@ -93,7 +93,7 @@ class TestAugment:
         rng = np.random.default_rng(2)
         img = rng.random((16, 16, 3)).astype(np.float32)
         cfg = tiny_train_cfg(hflip_prob=0.0)
-        out = T.augment(img, cfg, np.random.default_rng(0), train=True)
+        out = T.augment(img, cfg, np.random.default_rng(0))
         np.testing.assert_array_equal(out, img)
 
     def test_double_flip_restores(self):
@@ -102,19 +102,12 @@ class TestAugment:
         flipped = img[:, ::-1, :]
         np.testing.assert_array_equal(flipped[:, ::-1, :], img)
 
-    def test_center_crop_of_ramp(self):
-        img = np.zeros((6, 6, 1), dtype=np.float32)
-        img[:, :, 0] = np.arange(6)[None, :] + 10 * np.arange(6)[:, None]
-        cfg = T.TrainConfig(crop=4, resize=6)
-        out = T.augment(img, cfg, np.random.default_rng(0), train=False)
-        np.testing.assert_array_equal(out[:, :, 0], img[1:5, 1:5, 0])
-
     def test_random_crop_stays_in_bounds(self):
         rng = np.random.default_rng(4)
         img = rng.random((20, 20, 3)).astype(np.float32)
         cfg = T.TrainConfig(crop=12, resize=16)
         for seed in range(10):
-            out = T.augment(img, cfg, np.random.default_rng(seed), train=True)
+            out = T.augment(img, cfg, np.random.default_rng(seed))
             assert out.shape == (12, 12, 3)
 
     def test_tiny_image_rejected(self):
@@ -727,9 +720,28 @@ class TestEvaluate:
     def test_accuracy_bounds_and_loss(self):
         model = tiny_model()
         ds = tiny_dataset(n=12)
-        acc, loss = T.evaluate(model, ds, tiny_train_cfg(), batch_size=5)
+        acc, loss = T.evaluate(model, ds, batch_size=5)
         assert 0.0 <= acc <= 1.0
         assert abs(loss - math.log(4)) < 1e-5  # zero-init head
+
+    def test_batched_resize_equals_per_image_resize_and_forward(self):
+        # a 64 px dataset on a 32 px model: each batch is resized in one call
+        model = tiny_model(input_size=32)
+        model.mlp_w2.data = np.random.default_rng(8).standard_normal(
+            model.mlp_w2.shape).astype(np.float32)
+        ds = tiny_dataset(n=7, size=64)
+        acc, loss = T.evaluate(model, ds, batch_size=4)
+        correct, losses = 0, []
+        for start in (0, 4):
+            x = np.stack([bilinear_resize_one(img, 32) for img in ds.images[start:start + 4]])
+            labels = ds.labels[start:start + 4]
+            with ad.no_grad():
+                logits = model.forward(x.astype(np.float32)).logits
+                batch_loss = ad.softmax_cross_entropy(logits, T.one_hot(labels, 4))
+            losses.append(float(batch_loss.item()) * len(labels))
+            correct += int((np.argmax(logits.data, axis=1) == labels).sum())
+        assert (acc, loss) == (correct / 7, sum(losses) / 7)
+        assert loss != pytest.approx(math.log(4))
 
 
 class TestTrainConfigFile:
@@ -775,6 +787,8 @@ class TestTrainConfigFile:
     @pytest.mark.parametrize("name,value,rule", [
         *[(name, value, "finite") for name in ("lr", "weight_decay")
           for value in (float("nan"), float("inf"), float("-inf"))],
+        *[("mixup_alpha", value, "finite") for value in (float("nan"), float("inf"))],
+        ("seed", -1, ">= 0"),
         *[(name, value, "in [0, 1)") for name in ("beta1", "beta2")
           for value in (float("nan"), float("inf"), 1.0, -0.1)]])
     def test_optimizer_settings_out_of_range(self, name, value, rule):
