@@ -26,6 +26,7 @@ to a batch of one internally and squeezed on the way out. Attention takes
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -578,23 +579,24 @@ def block_norm(x, gamma, beta):
         return v[..., None, :].repeat(W, axis=-2).reshape(v.shape[:-1] + (1, W * C))
 
     xr = x.data.reshape(B, H, W * C)
-    xc = xr - rows(sums(xr) / n)
-    data = xc * xc
-    inv = 1.0 / np.sqrt(sums(data) / n + NORM_EPS)
+    mu = sums(xr) / n
+    xc = xr - rows(mu)
+    inv = 1.0 / np.sqrt(sums(xc * xc) / n + NORM_EPS)
     scale = gamma.data * inv                       # xhat = xc * inv
-    np.multiply(xc, rows(scale), out=data)
+    data = np.multiply(xc, rows(scale), out=xc)
     data += rows(beta.data)
 
+    # the graph keeps the (B, C) mean, not xc: backward forms xc again
     def backward(g):
-        g = g.reshape(xr.shape)
-        gxc = g * xc
-        sum_gxhat, sum_g = inv * sums(gxc), sums(g)
+        g = g.reshape(B, H, W * C)
+        xc = x.data.reshape(g.shape) - rows(mu)
+        sum_gxhat, sum_g = inv * sums(g * xc), sums(g)
         _accum(gamma, sum_gxhat.sum(axis=0))
         _accum(beta, sum_g.sum(axis=0))
         if x.requires_grad:
             # gamma inv (g - sum(g)/n - xhat sum(g xhat)/n)
             gx = g * rows(scale)
-            gx -= np.multiply(xc, rows(scale * inv * sum_gxhat / n), out=gxc)
+            gx -= np.multiply(xc, rows(scale * inv * sum_gxhat / n), out=xc)
             gx -= rows(scale * sum_g / n)
             _accum(x, gx.reshape(x.shape))
 
@@ -672,8 +674,8 @@ def _as_batched(x):
     raise DimensionError(f"expected rank 3 or 4 image tensor, got rank {x.ndim}")
 
 
-# bytes of im2col matrix one block of conv2d's forward may hold; a block
-# holds whole samples, at least one
+# bytes of im2col matrix one block of conv2d may hold; a block holds whole
+# samples, at least one
 _IM2COL_BLOCK_BYTES = 8 << 20
 
 
@@ -700,12 +702,40 @@ def _pad_hw(x, ph, pw):
     return out
 
 
+def _im2col_blocks(a, ph, pw, kh, kw):
+    """Yield (rows, cols) per block of whole samples of a (B, H, W, C), padded
+    by ph, pw on axes 1 and 2 (cropped where negative): cols is the block's
+    tap-major im2col matrix, at most _IM2COL_BLOCK_BYTES or one sample, built
+    in one buffer the next block overwrites; rows slices the batch's rows."""
+    ch, cw = max(-ph, 0), max(-pw, 0)
+    a = a[:, ch:a.shape[1] - ch, cw:a.shape[2] - cw]
+    ph, pw = max(ph, 0), max(pw, 0)
+    B, H, W, C = a.shape
+    Ho, Wo = H + 2 * ph - kh + 1, W + 2 * pw - kw + 1
+    per = min(B, max(1, _IM2COL_BLOCK_BYTES // (Ho * Wo * kh * kw * C * a.itemsize)))
+    xp = np.zeros((per, H + 2 * ph, W + 2 * pw, C), a.dtype) if ph or pw else None
+    cols = np.empty((per, Ho, Wo, kh, kw, C), a.dtype) if kh * kw > 1 else None
+    for s in range(0, B, per):
+        n = min(per, B - s)
+        if xp is None:
+            xs = np.ascontiguousarray(a[s:s + n])
+        else:
+            xs = xp[:n]
+            xs[:, ph:ph + H, pw:pw + W] = a[s:s + n]
+        if cols is not None:          # a 1x1 kernel's windows are xs itself
+            np.copyto(cols[:n], _im2col(xs, kh, kw, Ho, Wo))
+            xs = cols[:n]
+        yield slice(s * Ho * Wo, (s + n) * Ho * Wo), xs.reshape(-1, kh * kw * C)
+
+
 def conv2d(x, w, b=None, stride=1, padding=0):
     """2-D convolution (cross-correlation), channels-last, stride 1.
 
     x: (B, H, W, C) or (H, W, C); w: (kh, kw, C, C'); b: (C',) optional.
     Output height is H + 2*padding - kh + 1. Downsampling is `max_pool2d`'s
     job, so any `stride` other than 1 raises DimensionError.
+    The forward and both gradients run on `_im2col_blocks`; the input gradient
+    is g, padded by kh-1-padding, convolved with the flipped, transposed kernel.
     """
     xb, squeeze = _as_batched(x)
     B, H, W, C = xb.shape
@@ -719,43 +749,29 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     Ho = H + 2 * padding - kh + 1
     Wo = W + 2 * padding - kw + 1
 
-    xp = _pad_hw(xb.data, padding, padding) if padding else np.ascontiguousarray(xb.data)
-
-    def cols(xs):
-        """The im2col matrix of samples xs (len(xs)*Ho*Wo, kh*kw*C), tap-major
-        like w's rows."""
-        cols = np.ascontiguousarray(_im2col(xs, kh, kw, Ho, Wo))
-        return cols.reshape(-1, kh * kw * C)
-
-    # the forward builds im2col for a block of samples at a time; GEMM rows
-    # are independent, so each block's product equals those rows of one GEMM
+    # GEMM rows are independent: each block's product is those rows of one GEMM
     w2 = w.data.reshape(kh * kw * C, Cout)
-    out = np.empty((B * Ho * Wo, Cout), dtype=np.result_type(xp, w2))
-    per = max(1, _IM2COL_BLOCK_BYTES // (Ho * Wo * kh * kw * C * xp.itemsize))
-    for s in range(0, B, per):
-        np.matmul(cols(xp[s:s + per]), w2, out=out[s * Ho * Wo:(s + per) * Ho * Wo])
+    out = np.empty((B * Ho * Wo, Cout), dtype=np.result_type(xb.data, w2))
+    for rows, cols in _im2col_blocks(xb.data, padding, padding, kh, kw):
+        np.matmul(cols, w2, out=out[rows])
     if b is not None:
         out += b.data
     data = out.reshape(B, Ho, Wo, Cout)
 
-    # the graph keeps only xp: backward rebuilds the same im2col matrix for
-    # the weight gradient, and the input gradient is one GEMM per tap added
-    # in tap order, never a 9x-size column gradient
     def backward(g):
         g2 = g.reshape(B * Ho * Wo, Cout)
         if w.requires_grad:
-            _accum(w, (cols(xp).T @ g2).reshape(w.shape))
+            parts = (cols.T @ g2[rows]
+                     for rows, cols in _im2col_blocks(xb.data, padding, padding, kh, kw))
+            _accum(w, functools.reduce(np.add, parts).reshape(w.shape))
         if b is not None and b.requires_grad:
             _accum(b, g2.sum(axis=0))
         if xb.requires_grad:
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    tap = g2 @ w.data[i, j].T
-                    gxp[:, i:i + Ho, j:j + Wo, :] += tap.reshape(B, Ho, Wo, C)
-            if padding:
-                gxp = gxp[:, padding:padding + H, padding:padding + W, :]
-            _accum(xb, gxp)
+            wf = w.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * Cout, C)
+            gx = np.empty((B * H * W, C), dtype=np.result_type(g, wf))
+            for rows, cols in _im2col_blocks(g, kh - 1 - padding, kw - 1 - padding, kh, kw):
+                np.matmul(cols, wf, out=gx[rows])
+            _accum(xb, gx.reshape(B, H, W, C))
 
     parents = (xb, w) if b is None else (xb, w, b)
     res = _make(data, parents, backward, "conv2d")

@@ -124,7 +124,8 @@ def parse_config(cls, text, source):
     Field types come from the dataclass defaults (bool, int, float or str).
     `#` starts a comment; blank lines are skipped. Every field must appear
     exactly once. A key in `cls.RETIRED` may appear at most once, and only at
-    its one value. Errors raise ConfigError naming `source` and the line.
+    its one value. Errors raise ConfigError naming `source`, and the line
+    where one line is at fault.
     """
     types = {f.name: type(f.default) for f in fields(cls)}
     retired = getattr(cls, "RETIRED", {})
@@ -155,7 +156,10 @@ def parse_config(cls, text, source):
     missing = [name for name in types if name not in seen]
     if missing:
         raise ConfigError(f"{source}: missing config key '{missing[0]}'")
-    return cls(**{name: seen[name] for name in types}).validate()
+    try:
+        return cls(**{name: seen[name] for name in types}).validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def load_config(cls, path):

@@ -73,6 +73,38 @@ def conv2d_im2col_oracle(x, w, b, padding, g):
             gxp[:, p:p + H, p:p + W, :])
 
 
+def conv2d_blocked_grad_oracle(x, w, padding, g):
+    """conv2d's (weight gradient, input gradient) through im2col matrices of
+    whole-sample blocks, each at most ad._IM2COL_BLOCK_BYTES or one sample:
+    the weight gradient adds each block's cols.T @ g in block order; the
+    input gradient is the convolution of g, padded by kh-1-padding (cropped
+    where that is negative), with the kernel flipped and transposed.
+    x (B, H, W, C), w (kh, kw, C, C'), g (B, Ho, Wo, C')."""
+    kh, kw, C, Cout = w.shape
+
+    def col_blocks(a, ph, pw):
+        ch, cw = max(-ph, 0), max(-pw, 0)
+        a = a[:, ch:a.shape[1] - ch, cw:a.shape[2] - cw]
+        ph, pw = max(ph, 0), max(pw, 0)
+        a = np.pad(a, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+        Ho, Wo, c = a.shape[1] - kh + 1, a.shape[2] - kw + 1, a.shape[3]
+        per = max(1, ad._IM2COL_BLOCK_BYTES // (Ho * Wo * kh * kw * c * a.itemsize))
+        for s in range(0, len(a), per):
+            win = np.lib.stride_tricks.sliding_window_view(a[s:s + per], (kh, kw), axis=(1, 2))
+            cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, kh * kw * c)
+            yield slice(s * Ho * Wo, (s + per) * Ho * Wo), cols
+
+    g2 = g.reshape(-1, Cout)
+    gw = None
+    for rows, cols in col_blocks(x, padding, padding):
+        part = cols.T @ g2[rows]
+        gw = part if gw is None else np.add(gw, part, out=gw)
+    wf = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2)).reshape(-1, C)
+    gx = np.concatenate([cols @ wf for _, cols in col_blocks(g, kh - 1 - padding,
+                                                            kw - 1 - padding)])
+    return gw.reshape(w.shape), gx.reshape(x.shape)
+
+
 def gelu_oracle(x, g):
     """GELU (tanh form) and its input gradient for upstream g, evaluated as
     the expressions read."""
@@ -94,6 +126,37 @@ def block_norm_oracle(x, gamma, beta, g, eps=1e-5):
     gx = inv / n * (n * gy - gy.sum(axis=(1, 2), keepdims=True)
                     - xhat * (gy * xhat).sum(axis=(1, 2), keepdims=True))
     return xhat * gamma + beta, gx, (g * xhat).sum(axis=(0, 1, 2)), g.sum(axis=(0, 1, 2))
+
+
+def block_norm_centred_oracle(x, gamma, beta, g, eps=1e-5):
+    """block_norm as a kernel that keeps the centred map xc from its forward
+    for its backward, with the engine's GEMV sums and row tilings in the
+    engine's order: (output, x, gamma and beta gradients)."""
+    B, H, W, C = x.shape
+    n = H * W
+    ones = np.ones(n, dtype=x.dtype)
+
+    def sums(a):
+        return ones @ a.reshape(B, n, C)
+
+    def rows(v):
+        return v[..., None, :].repeat(W, axis=-2).reshape(v.shape[:-1] + (1, W * C))
+
+    xr = x.reshape(B, H, W * C)
+    xc = xr - rows(sums(xr) / n)
+    data = xc * xc
+    inv = 1.0 / np.sqrt(sums(data) / n + eps)
+    scale = gamma * inv
+    np.multiply(xc, rows(scale), out=data)
+    data += rows(beta)
+    g = g.reshape(xr.shape)
+    gxc = g * xc
+    sum_gxhat, sum_g = inv * sums(gxc), sums(g)
+    gx = g * rows(scale)
+    gx -= np.multiply(xc, rows(scale * inv * sum_gxhat / n), out=gxc)
+    gx -= rows(scale * sum_g / n)
+    return (data.reshape(x.shape), gx.reshape(x.shape), sum_gxhat.sum(axis=0),
+            sum_g.sum(axis=0))
 
 
 def depthwise_einsum_oracle(x, w, b, g):
@@ -208,6 +271,13 @@ def _model_conv_shapes():
     return sorted(shapes)
 
 
+# bound on the largest entry-wise difference of conv2d's weight and input
+# gradients from the 9x-matrix formulation, as a share of that one's largest
+# entry; over the model conv shapes below it measured 5.1e-7 (w) and 7.5e-7
+# (x) in float32, 8.8e-16 and 1.4e-15 in float64
+DRIFT_VS_FULL_IM2COL = {np.float32: 2e-6, np.float64: 1e-12}
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
@@ -256,9 +326,13 @@ class TestConv2d:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_identical_to_full_im2col_formulation(self, dtype):
+        # the output and bias gradient are byte-equal to the 9x-matrix GEMM;
+        # the weight and input gradients are byte-equal to the blocked
+        # oracle, and near the 9x-matrix ones, whose summation order differs
         rng = np.random.default_rng(4)
         shapes = _model_conv_shapes()
         assert len(shapes) > 20
+        drift = DRIFT_VS_FULL_IM2COL[dtype]
         for B, H, W, C, kh, kw, Cout, padding, bias in shapes:
             x = ad.Tensor(rng.standard_normal((B, H, W, C)), requires_grad=True, dtype=dtype)
             w = ad.Tensor(rng.standard_normal((kh, kw, C, Cout)) * 0.2, requires_grad=True,
@@ -267,13 +341,17 @@ class TestConv2d:
                 if bias else None
             out = ad.conv2d(x, w, b, padding=padding)
             g = rng.standard_normal(out.shape).astype(dtype)
-            want = conv2d_im2col_oracle(x.data, w.data, None if b is None else b.data,
+            full = conv2d_im2col_oracle(x.data, w.data, None if b is None else b.data,
                                         padding, g)
+            blocked = conv2d_blocked_grad_oracle(x.data, w.data, padding, g)
             out.backward(g)
-            got = (out.data, w.grad, want[2] if b is None else b.grad, x.grad)
-            for name, a, e in zip(("out", "w", "b", "x"), got, want):
-                assert a.dtype == dtype and a.tobytes() == e.tobytes(), \
-                    f"{name} differs on x {x.shape}, w {w.shape}, padding {padding}"
+            where = f"on x {x.shape}, w {w.shape}, padding {padding}"
+            got = (out.data, full[2] if b is None else b.grad, w.grad, x.grad)
+            for name, a, e in zip(("out", "b", "w", "x"), got, full[:1] + full[2:3] + blocked):
+                assert a.dtype == dtype and a.tobytes() == e.tobytes(), f"{name} differs {where}"
+            for name, a, e in (("w", w.grad, full[1]), ("x", x.grad, full[3])):
+                share = float(np.abs(a - e).max() / np.abs(e).max())
+                assert share <= drift, f"{name}: {share:.2e} of the largest {where}"
 
     def test_graph_keeps_no_im2col_matrix(self):
         rng = np.random.default_rng(5)
@@ -286,8 +364,45 @@ class TestConv2d:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        # the output and the padded input; the im2col matrix alone is 9x the input
-        assert kept < 3 * (x.data.nbytes + out.data.nbytes)
+        # the output; no padded copy of x, no im2col matrix (9x the input)
+        assert kept < out.data.nbytes + x.data.nbytes // 4
+
+    def test_backward_builds_im2col_one_block_at_a_time(self):
+        # the S/8 stem conv: its whole-batch im2col matrix would be 37.7 MB
+        rng = np.random.default_rng(7)
+        x = ad.Tensor(rng.standard_normal((8, 64, 64, 32)), requires_grad=True)
+        w = ad.Tensor(rng.standard_normal((3, 3, 32, 32)) * 0.1, requires_grad=True)
+        b = ad.Tensor(rng.standard_normal(32), requires_grad=True)
+        out = ad.conv2d(x, w, b, padding=1)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out.backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # x's gradient and one block (one sample's im2col: two would pass the
+        # 8 MB cap) with its padded sample, every block built in one buffer
+        block = 64 * 64 * 9 * 32 * x.data.itemsize
+        assert 2 * block > ad._IM2COL_BLOCK_BYTES
+        assert peak < x.data.nbytes + 3 * block // 2
+
+    @pytest.mark.parametrize("k,padding", [(3, 0), (3, 1), (3, 2), (3, 3),
+                                           (1, 0), (1, 1), (2, 0), (2, 1)])
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "unbatched"])
+    def test_gradcheck(self, k, padding, batched):
+        # at padding 3 a 3x3 kernel's input gradient crops g (kh-1-padding < 0)
+        rng = np.random.default_rng(40 + 10 * k + padding)
+        shape = (2, 5, 4, 3) if batched else (5, 4, 3)
+        with ad.precision("float64"):
+            ts = [ad.Tensor(rng.standard_normal(shape), requires_grad=True),
+                  ad.Tensor(rng.standard_normal((k, k, 3, 2)) * 0.4, requires_grad=True),
+                  ad.Tensor(rng.standard_normal(2) * 0.1, requires_grad=True)]
+            rep = grad_check(lambda ts: ad.conv2d(*ts, padding=padding), ts, tol=1e-4,
+                             rng=rng)
+        assert rep.passed, str(rep)
 
     def test_forward_builds_im2col_one_block_at_a_time(self):
         # the S/8 stem conv: its full im2col matrix would be 37.7 MB
@@ -1069,6 +1184,39 @@ class TestElementwiseAndNorms:
                               want):
             share = float(np.abs(a - e).max() / np.abs(e).max())
             assert a.dtype == np.float32 and share <= 1e-5, f"{name}: {share:.2e} of the largest"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_block_norm_bit_identical_to_the_centred_formulation(self, dtype):
+        rng = np.random.default_rng(31)
+        for B, H, C in [(16, 32, 8), (16, 16, 16), (16, 8, 32), (16, 4, 64), (8, 64, 32),
+                        (8, 32, 64), (8, 16, 128), (8, 8, 256), (1, 4, 4), (2, 2, 16)]:
+            x = ad.Tensor(2.0 * rng.standard_normal((B, H, H, C)) + 0.5, requires_grad=True,
+                          dtype=dtype)
+            g = ad.Tensor(1 + 0.1 * rng.standard_normal(C), requires_grad=True, dtype=dtype)
+            b = ad.Tensor(0.1 * rng.standard_normal(C), requires_grad=True, dtype=dtype)
+            up = rng.standard_normal(x.shape).astype(dtype)
+            out = ad.block_norm(x, g, b)
+            want = block_norm_centred_oracle(x.data, g.data, b.data, up)
+            out.backward(up)
+            for name, a, e in zip(("out", "x", "gamma", "beta"),
+                                  (out.data, x.grad, g.grad, b.grad), want):
+                assert a.dtype == dtype and a.tobytes() == e.tobytes(), \
+                    f"{name} differs on {x.shape}"
+
+    def test_block_norm_graph_keeps_no_second_map(self):
+        rng = np.random.default_rng(32)
+        x = ad.Tensor(rng.standard_normal((8, 32, 32, 8)), requires_grad=True)
+        g = ad.Tensor(rng.standard_normal(8), requires_grad=True)
+        b = ad.Tensor(rng.standard_normal(8), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.block_norm(x, g, b)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the output and a few (B, C) vectors; a centred copy is another map
+        assert kept < out.data.nbytes + x.data.nbytes // 4
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gelu_bit_identical_to_the_formula(self, dtype):

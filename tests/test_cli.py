@@ -407,7 +407,7 @@ class TestMalformedInputs:
                        "--data", data_dir, "--out", str(tmp_path / "bad"), "--quiet"])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("configuration error:") and message in err
+        assert err.startswith(f"configuration error: {edited}: ") and message in err
         assert not (tmp_path / "bad").exists()
 
 

@@ -563,6 +563,19 @@ class TestConfigSnapshots:
         with pytest.raises(ConfigError, match="trainer.train_config:2: expected int"):
             T.Trainer.resume(path, [(fixture_dataset(), 1.0)])
 
+    @pytest.mark.parametrize("line,message", [
+        ("seed = -1", "seed must be >= 0, got -1"),
+        ("mixup_alpha = nan", "mixup_alpha must be finite, got nan")],
+        ids=["seed_negative", "mixup_alpha_nan"])
+    def test_out_of_range_train_snapshot_names_record(self, tmp_path, line, message):
+        key = line.split(" = ")[0]
+        path = tmp_path / "range.ckpt"
+        _rewrite_record(FIXTURE, path, "trainer.train_config",
+                        lambda t: "".join(line + "\n" if l.startswith(key + " ") else l
+                                          for l in t.splitlines(keepends=True)))
+        with pytest.raises(ConfigError, match=f"^trainer.train_config: {message}$"):
+            T.Trainer.resume(path, [(fixture_dataset(), 1.0)])
+
     @pytest.mark.parametrize("name", ["trainer.model_config", "trainer.train_config",
                                       "trainer.step", "trainer.rng", "opt.t"])
     def test_missing_record_is_data_error(self, tmp_path, name):
