@@ -800,9 +800,11 @@ def depthwise_conv2d(x, w, b=None):
     if b is not None:
         data += b.data
 
+    # the graph keeps x, not its padded copy: the weight gradient pads again
     def backward(g):
         ones = np.ones(B * H * W, dtype=g.dtype)
         if w.requires_grad:
+            xp = _pad_hw(xb.data, ph, pw)
             gw = np.empty_like(w.data)
             prod = np.empty_like(g)
             for i, j in taps:
@@ -812,7 +814,7 @@ def depthwise_conv2d(x, w, b=None):
         if b is not None and b.requires_grad:
             _accum(b, ones @ g.reshape(-1, C))
         if xb.requires_grad:
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros((B, H + 2 * ph, W + 2 * pw, C), dtype=xb.data.dtype)
             for i, j in taps:
                 gxp[:, i:i + H, j:j + W, :] += g * w.data[i, j]
             _accum(xb, gxp[:, ph:ph + H, pw:pw + W, :])

@@ -184,27 +184,10 @@ def cmd_explain(args):
                         f"model expects {size}px")
     start_run(args, args.checkpoint, args.seed)
 
-    logits, probs, binaries = [], [], []
-    for start in range(0, len(ds), 32):
-        pred = explain_mod.predict(model, ds.images[start:start + 32])
-        logits.append(pred.logits.data)
-        probs.append([m.probs for m in pred.stage_masks])
-        binaries.append([m.binary for m in pred.stage_masks])
-    probs = [np.concatenate(p) for p in zip(*probs)]
-    binaries = [np.concatenate(b) for b in zip(*binaries)]
-    maps = explain_mod.score_maps(probs[args.stage - 1], size)
+    logits, probs, binaries = explain_mod.stage_grids(model, ds.images)
     # segmentation reads the stage-2 mask, the one that covers the outer structure
-    outer = explain_mod.largest_components(explain_mod.score_maps(probs[1], size) > args.tau)
-
-    box = explain_mod.boxes(maps, args.tau)
-    # each box's score is its map's peak inside the box
-    ys, xs = np.ogrid[:size, :size]
-    x0, y0, x1, y1 = (c[:, None, None] for c in box.T)
-    in_box = (y0 <= ys) & (ys < y1) & (x0 <= xs) & (xs < x1)
-    peaks = np.where(in_box, maps, -np.inf).max(axis=(1, 2)).tolist()
-    seg = explain_mod.seg_metrics(outer, ds.masks)
-    loc = explain_mod.loc_metrics(maps, box, ds.boxes, np.concatenate(logits), ds.labels,
-                                  args.tau)
+    metrics, maps, box, peaks = explain_mod.explain(probs[args.stage - 1], probs[1], logits,
+                                                    ds, args.tau)
 
     mask_dir = os.path.join(args.out, "masks")
     score_dir = os.path.join(args.out, "scores")
@@ -217,10 +200,8 @@ def cmd_explain(args):
         explain_mod.write_score_map(
             os.path.join(score_dir, f"{image_id}_stage{args.stage}.pgm"), maps[i])
     explain_mod.write_boxes_csv(os.path.join(args.out, "boxes.csv"), zip(image_ids, box, peaks))
-    header = "gt_known,top1_loc,top5_loc,max_box_acc_v1,max_box_acc_v2,iou,dice"
-    row = (f"{loc['gt_known']:.6f},{loc['top1_loc']:.6f},{loc['top5_loc']:.6f},"
-           f"{loc['max_box_acc_v1']:.6f},{loc['max_box_acc_v2']:.6f},"
-           f"{seg['iou'].mean():.6f},{seg['dice'].mean():.6f}")
+    header = ",".join(metrics)
+    row = ",".join(f"{v:.6f}" for v in metrics.values())
     with open(os.path.join(args.out, "metrics.csv"), "w", encoding="utf-8") as fh:
         fh.write(header + "\n" + row + "\n")
     print(header)

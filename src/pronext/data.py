@@ -10,7 +10,7 @@ task families, one per challenge regime:
   structure   2 classes: two concentric ellipses; the class is whether the
               vertical radius ratio of inner to outer exceeds 0.6. Textures
               are randomized and horizontal radii are independent, so only
-              the vertical geometry decides.
+              the vertical geometry decides. The mask is the outer ellipse.
   interaction 4 classes: the class pairs an object texture factor (stripe
               orientation) with a background palette factor (warm/cool);
               each factor alone leaves a 2-way ambiguity, so accuracy above
@@ -21,8 +21,9 @@ is 1 by construction). Every image is quantized to 8-bit levels at
 generation time so the PPM/PGM round trip is lossless.
 
 Directory layout: index.csv with `filename,label,x0,y0,x1,y1` lines, P6
-images, P5 masks named `<image>_mask.pgm` (+ `_mask2.pgm` for the inner
-structure), and a cues.csv sidecar recording the generative factors.
+images, P5 object masks named `<image>_mask.pgm`, and a cues.csv sidecar
+recording the generative factors. Other files in the directory (an older
+version's `_mask2.pgm` inner-structure masks) are not read.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ class Dataset:
     labels: np.ndarray                    # (N,) int64
     boxes: np.ndarray                     # (N, 4) int64, (x0, y0, x1, y1)
     masks: np.ndarray                     # (N, H, W) uint8 object masks
-    masks2: np.ndarray | None = None      # inner-structure masks, if any
     cues: list = field(default_factory=list)
     num_classes: int = 0
 
@@ -130,7 +130,7 @@ def _spawn_rngs(rng, n):
 
 
 # ---------------------------------------------------------------------------
-# task renderers: one sample each, (image, label, mask, inner mask or None, cue)
+# task renderers: one sample each, (image, label, mask, cue)
 # ---------------------------------------------------------------------------
 
 
@@ -156,7 +156,7 @@ def _render_detail(r, S, num_classes):
     patch = GLYPHS[label][:, :, None]
     img[gy - 1:gy + 2, gx - 1:gx + 2, :] = patch
     cue = {"glyph": label, "gy": gy, "gx": gx}
-    return _quantize(img), label, shape.astype(np.uint8), None, cue
+    return _quantize(img), label, shape.astype(np.uint8), cue
 
 
 VERTICAL_RATIO_THRESHOLD = 0.6
@@ -182,7 +182,7 @@ def _render_structure(r, S, num_classes):
     img[disc] = np.clip(disc_color + r.uniform(-0.03, 0.03, (int(disc.sum()), 3)), 0, 1)
     img[cup] = np.clip(cup_color + r.uniform(-0.03, 0.03, (int(cup.sum()), 3)), 0, 1)
     cue = {"ratio_milli": int(round(ratio * 1000))}
-    return _quantize(img), label, disc.astype(np.uint8), cup.astype(np.uint8), cue
+    return _quantize(img), label, disc.astype(np.uint8), cue
 
 
 def _stripe_field(r, S, orient, pitch, hi, lo):
@@ -229,7 +229,7 @@ def _render_interaction(r, S, num_classes):
     img[obj] = stripes[obj]
     img[obj] = np.clip(img[obj] + r.uniform(-0.06, 0.06, (int(obj.sum()), 1)), 0, 1)
     cue = {"texture": tex, "palette": pal}
-    return _quantize(img), label, obj.astype(np.uint8), None, cue
+    return _quantize(img), label, obj.astype(np.uint8), cue
 
 
 # task -> (renderer, default class count, (fewest, most) classes it can label)
@@ -255,13 +255,12 @@ def generate(task, n, rng, image_size=64, num_classes=None):
     if not lo <= k <= hi:
         span = f"{lo} to {hi}" if lo < hi else f"exactly {lo}"
         raise ConfigError(f"{task} task supports {span} classes, got {k}")
-    images, labels, masks, inner, cues = zip(*(render(r, image_size, k)
-                                              for r in _spawn_rngs(rng, n)))
+    images, labels, masks, cues = zip(*(render(r, image_size, k)
+                                       for r in _spawn_rngs(rng, n)))
     masks = np.stack(masks)
     return Dataset(name=task, images=np.stack(images),
                    labels=np.array(labels, dtype=np.int64),
                    boxes=np.stack([_bbox_of(m) for m in masks]), masks=masks,
-                   masks2=None if inner[0] is None else np.stack(inner),
                    cues=list(cues), num_classes=k)
 
 
@@ -279,8 +278,6 @@ def write_dataset(ds, out_dir):
         write_ppm_p6(os.path.join(out_dir, stem + ".ppm"),
                      np.round(ds.images[i] * 255.0).astype(np.uint8))
         write_pgm_p5(os.path.join(out_dir, stem + "_mask.pgm"), ds.masks[i] * 255)
-        if ds.masks2 is not None:
-            write_pgm_p5(os.path.join(out_dir, stem + "_mask2.pgm"), ds.masks2[i] * 255)
         x0, y0, x1, y1 = ds.boxes[i]
         lines.append(f"{stem}.ppm,{ds.labels[i]},{x0},{y0},{x1},{y1}")
         if ds.cues:
@@ -299,7 +296,7 @@ def load_dataset(data_dir):
     index_path = os.path.join(data_dir, "index.csv")
     if not os.path.exists(index_path):
         raise DataError(f"{data_dir}: no index.csv")
-    images, labels, label_lines, boxes, masks, masks2 = [], [], [], [], [], []
+    images, labels, label_lines, boxes, masks = [], [], [], [], []
     with open(index_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -327,13 +324,9 @@ def load_dataset(data_dir):
                 raise DataError(f"missing mask file for '{fname}'")
             mask = read_pgm_p5(mask_path)
             masks.append((mask > 127).astype(np.uint8))
-            mask2_path = os.path.join(data_dir, stem + "_mask2.pgm")
-            mask2 = read_pgm_p5(mask2_path) if os.path.exists(mask2_path) else None
-            if mask2 is not None:
-                masks2.append((mask2 > 127).astype(np.uint8))
             h, w = images[0].shape[:2]
-            for path, arr in ((img_path, image), (mask_path, mask), (mask2_path, mask2)):
-                if arr is not None and arr.shape[:2] != (h, w):
+            for path, arr in ((img_path, image), (mask_path, mask)):
+                if arr.shape[:2] != (h, w):
                     raise DataError(f"{path} is {arr.shape[1]}x{arr.shape[0]} pixels, "
                                     f"but the first image is {w}x{h}")
     if not labels:
@@ -375,8 +368,6 @@ def load_dataset(data_dir):
                 except ValueError:
                     raise ParseError("malformed cue record", line=lineno) from None
 
-    if masks2 and len(masks2) != len(images):
-        raise DataError(f"{data_dir}: inner masks present for only some images")
     boxes = np.array(boxes, dtype=np.int64)
     x0, y0, x1, y1 = boxes.T
     bad = ~((0 <= x0) & (x0 < x1) & (x1 <= w) & (0 <= y0) & (y0 < y1) & (y1 <= h))
@@ -387,7 +378,6 @@ def load_dataset(data_dir):
     return Dataset(name=name, images=np.stack(images),
                    labels=np.array(labels, dtype=np.int64),
                    boxes=boxes, masks=np.stack(masks),
-                   masks2=np.stack(masks2) if masks2 else None,
                    cues=cues, num_classes=num_classes)
 
 
@@ -396,7 +386,6 @@ def split_dataset(ds, n_train):
     def take(sl):
         return Dataset(name=ds.name, images=ds.images[sl], labels=ds.labels[sl],
                        boxes=ds.boxes[sl], masks=ds.masks[sl],
-                       masks2=None if ds.masks2 is None else ds.masks2[sl],
                        cues=ds.cues[sl] if ds.cues else [],
                        num_classes=ds.num_classes)
     return take(slice(0, n_train)), take(slice(n_train, len(ds)))

@@ -1,16 +1,18 @@
 """Mask-based localization and segmentation, the metric suite, and every
 file `pronext explain` writes.
 
-Everything here reads patch probabilities only; no extra training happens.
-A stage's (P, P) grid tiles the S-pixel image (the stem preserves
-resolution), so `score_maps` bilinearly interpolates a batch of grids up to
-image resolution. Any grid works the same way: a trained stage's, an
-untrained model's, or a baseline such as a centred Gaussian. Every step
-takes the whole (N, ...) stack: `boxes` thresholds the score maps and takes
-each map's largest 4-connected component's row and column extents (the full
-image when the threshold empties a map), and `box_ious` and `seg_metrics`
-score the stacks against the ground truth. The segmentation masks are those
-largest components; labelling them is the one step that runs per map.
+`stage_grids` runs the forward; `explain` scores any stack of grids, and
+`pronext explain` only writes what it returns. Everything here reads patch
+probabilities only; no extra training happens. A stage's (P, P) grid tiles
+the S-pixel image (the stem preserves resolution), so `score_maps`
+bilinearly interpolates a batch of grids up to image resolution. Any grid
+works the same way: a trained stage's, an untrained model's, or a baseline
+such as a centred Gaussian. Every step takes the whole (N, ...) stack:
+`boxes` thresholds the score maps and takes each map's largest 4-connected
+component's row and column extents (the full image when the threshold
+empties a map), and `box_ious` and `seg_metrics` score the stacks against
+the ground truth. The segmentation masks are those largest components;
+labelling them is the one step that runs per map.
 
 Box convention: (x0, y0, x1, y1), inclusive-exclusive pixel coordinates.
 """
@@ -29,6 +31,7 @@ from .train import bilinear_resize
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 V1_THRESHOLDS = np.round(np.arange(0.05, 0.951, 0.05), 2)
 V2_IOU_LEVELS = (0.3, 0.5, 0.7)
+BATCH = 32      # images per forward in `stage_grids`
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +147,41 @@ def seg_metrics(pred_masks, gt_masks):
 
 
 # ---------------------------------------------------------------------------
-# model forward and exports
+# the explain path and its exports
 # ---------------------------------------------------------------------------
 
 
-def predict(model, images):
-    """The one gradient-free forward pass `pronext explain` reads."""
+def stage_grids(model, images):
+    """The gradient-free forward `pronext explain` reads, BATCH images at a
+    time -> (logits (N, K), each stage's (N, P, P) probabilities, each
+    stage's (N, P, P) binaries)."""
+    logits, probs, binaries = [], [], []
     with ad.no_grad():
-        return model.forward(images.astype(np.float32))
+        for start in range(0, len(images), BATCH):
+            pred = model.forward(images[start:start + BATCH].astype(np.float32))
+            logits.append(pred.logits.data)
+            probs.append([m.probs for m in pred.stage_masks])
+            binaries.append([m.binary for m in pred.stage_masks])
+    return (np.concatenate(logits), [np.concatenate(p) for p in zip(*probs)],
+            [np.concatenate(b) for b in zip(*binaries)])
+
+
+def explain(probs, seg_probs, class_scores, ds, tau):
+    """Score one stack of (N, P, P) grids against a dataset -> (the metrics
+    in `metrics.csv` column order, the score maps, the `tau` boxes and each
+    box's peak, its map's largest value inside it). The largest components
+    of `seg_probs`' maps are the segmentation; class_scores is (N, K)."""
+    size = ds.image_size
+    maps = score_maps(probs, size)
+    tau_boxes = boxes(maps, tau)
+    ys, xs = np.ogrid[:size, :size]
+    x0, y0, x1, y1 = (c[:, None, None] for c in tau_boxes.T)
+    in_box = (y0 <= ys) & (ys < y1) & (x0 <= xs) & (xs < x1)
+    peaks = np.where(in_box, maps, -np.inf).max(axis=(1, 2))
+    seg = seg_metrics(largest_components(score_maps(seg_probs, size) > tau), ds.masks)
+    metrics = loc_metrics(maps, tau_boxes, ds.boxes, class_scores, ds.labels, tau)
+    metrics.update(iou=float(seg["iou"].mean()), dice=float(seg["dice"].mean()))
+    return metrics, maps, tau_boxes, peaks
 
 
 def export_stage_masks(binaries, out_dir):

@@ -389,7 +389,7 @@ def _field_net_flops(P):
 
 
 def _attention_flops(P, token_width, D, layers):
-    """Worst-case split: n_focal = n_context = P^2 / 2."""
+    """Worst-case split: P^2 / 2 focal and P^2 / 2 context patches."""
     n = P * P
     nf = nc = n / 2
     total = n * token_width * D * 2          # shared token projection

@@ -72,10 +72,6 @@ class PatchMask:
     def n_focal(self):
         return self.binary.sum(axis=(1, 2)).astype(int)
 
-    @property
-    def n_context(self):
-        return (self.grid_side ** 2 - self.n_focal).astype(int)
-
 
 @dataclass
 class ConditionMaps:

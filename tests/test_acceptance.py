@@ -227,7 +227,6 @@ def test_criterion_3_mask_invariants():
         P2 = m.grid_side ** 2
         assert set(np.unique(m.binary)) <= {0.0, 1.0}
         assert np.all(m.n_focal >= 1) and np.all(m.n_focal <= P2 - 1)
-        assert np.all(m.n_focal + m.n_context == P2)
         checked += batch
 
     # smoothness: field masks vs i.i.d. Bernoulli with matched n_focal

@@ -159,6 +159,32 @@ def block_norm_centred_oracle(x, gamma, beta, g, eps=1e-5):
             sum_g.sum(axis=0))
 
 
+def depthwise_padded_oracle(x, w, b, g):
+    """depthwise_conv2d as a kernel that keeps its zero-padded input from the
+    forward for the backward, in the engine's tap order and sums: (output,
+    x, w and b gradients)."""
+    B, H, W, C = x.shape
+    kh, kw, _ = w.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    taps = list(np.ndindex(kh, kw))
+    data = xp[:, :H, :W] * w[0, 0]
+    prod = np.empty_like(data)
+    for i, j in taps[1:]:
+        data += np.multiply(xp[:, i:i + H, j:j + W], w[i, j], out=prod)
+    data += b
+    ones = np.ones(B * H * W, dtype=g.dtype)
+    gw = np.empty_like(w)
+    prod = np.empty_like(g)
+    for i, j in taps:
+        np.multiply(xp[:, i:i + H, j:j + W], g, out=prod)
+        gw[i, j] = ones @ prod.reshape(-1, C)
+    gxp = np.zeros_like(xp)
+    for i, j in taps:
+        gxp[:, i:i + H, j:j + W, :] += g * w[i, j]
+    return data, gxp[:, ph:ph + H, pw:pw + W, :], gw, ones @ g.reshape(-1, C)
+
+
 def depthwise_einsum_oracle(x, w, b, g):
     """Depthwise conv as one contraction over the (B, H, W, kh, kw, C)
     sliding-window view: (output, x, w and b gradients). x (B, H, W, C),
@@ -456,6 +482,38 @@ class TestDepthwiseConv:
                   ad.Tensor(rng.standard_normal(3) * 0.1, requires_grad=True)]
             rep = grad_check(lambda ts: ad.depthwise_conv2d(*ts), ts, tol=1e-5, rng=rng)
         assert rep.passed, str(rep)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_the_padded_copy_kernel(self, dtype):
+        rng = np.random.default_rng(34)
+        for B, H, W, C in [(8, 8, 8, 384), (16, 4, 4, 16), (2, 5, 4, 3), (1, 2, 2, 16),
+                           (3, 7, 6, 5)]:
+            x = ad.Tensor(rng.standard_normal((B, H, W, C)), requires_grad=True, dtype=dtype)
+            w = ad.Tensor(rng.standard_normal((3, 3, C)) * 0.4, requires_grad=True, dtype=dtype)
+            b = ad.Tensor(rng.standard_normal(C) * 0.1, requires_grad=True, dtype=dtype)
+            g = rng.standard_normal(x.shape).astype(dtype)
+            out = ad.depthwise_conv2d(x, w, b)
+            out.backward(g)
+            want = depthwise_padded_oracle(x.data, w.data, b.data, g)
+            for name, a, e in zip(("out", "x", "w", "b"), (out.data, x.grad, w.grad, b.grad),
+                                  want):
+                assert a.dtype == dtype and a.tobytes() == e.tobytes(), \
+                    f"{name} differs on {x.shape}"
+
+    def test_graph_keeps_no_padded_copy(self):
+        rng = np.random.default_rng(35)
+        x = ad.Tensor(rng.standard_normal((8, 8, 8, 384)), requires_grad=True)
+        w = ad.Tensor(rng.standard_normal((3, 3, 384)) * 0.4, requires_grad=True)
+        b = ad.Tensor(rng.standard_normal(384) * 0.1, requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.depthwise_conv2d(x, w, b)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the output; a padded copy of x is another 1.56 maps
+        assert kept < out.data.nbytes + x.data.nbytes // 4
 
 
 # ---------------------------------------------------------------------------

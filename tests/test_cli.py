@@ -8,6 +8,7 @@ import pytest
 
 from pronext import checkpoint as ckpt
 from pronext import cli, netpbm
+from pronext import data as D
 from pronext import explain as explain_mod
 from pronext import model as M
 from pronext import train as T
@@ -154,6 +155,22 @@ class TestEvalAndExplain:
         assert rc == 0
         # the default tau 0.5 is one of the sweep's thresholds
         assert sorted(seen) == sorted(explain_mod.V1_THRESHOLDS.tolist())
+
+    @pytest.mark.parametrize("stage", [1, 3])
+    def test_explain_row_is_the_explain_path(self, workspace, stage):
+        # `metrics.csv` is `explain.explain` on `stage_grids`, to 6 decimals
+        rc, out = run_train(workspace, f"runJ{stage}")
+        tmp_path, *_, data_dir = workspace
+        exp_dir = tmp_path / f"exp_path{stage}"
+        rc = cli.main(["explain", "--checkpoint", str(out / "final.ckpt"), "--data", data_dir,
+                       "--out", str(exp_dir), "--stage", str(stage), "--quiet"])
+        assert rc == 0
+        ds = D.load_dataset(data_dir)
+        logits, probs, _ = explain_mod.stage_grids(
+            T.load_model_from_checkpoint(str(out / "final.ckpt")), ds.images)
+        metrics = explain_mod.explain(probs[stage - 1], probs[1], logits, ds, 0.5)[0]
+        assert (exp_dir / "metrics.csv").read_text().splitlines() == [
+            ",".join(metrics), ",".join(f"{v:.6f}" for v in metrics.values())]
 
     def test_explain_stage_out_of_range_exit_1(self, workspace):
         rc, out = run_train(workspace, "runH")

@@ -96,11 +96,6 @@ class TestStructureTask:
             ratio = cue["ratio_milli"] / 1000.0
             assert label == int(ratio > 0.6)
 
-    def test_inner_mask_subset_of_outer(self, structure_ds):
-        assert structure_ds.masks2 is not None
-        union = structure_ds.masks2 & ~structure_ds.masks
-        assert union.sum() == 0
-
     def test_both_labels_present(self, structure_ds):
         assert set(np.unique(structure_ds.labels)) == {0, 1}
 
@@ -146,9 +141,8 @@ class TestGeneratorDeterminism:
         # one generator per sample: the first k samples of n equal a run of k
         full = data.generate(task, 6, np.random.default_rng(7), image_size=16)
         head = data.generate(task, 3, np.random.default_rng(7), image_size=16)
-        for name in ("images", "labels", "boxes", "masks", "masks2"):
-            a, b = getattr(full, name), getattr(head, name)
-            assert (a is None and b is None) or a[:3].tobytes() == b.tobytes()
+        for name in ("images", "labels", "boxes", "masks"):
+            assert getattr(full, name)[:3].tobytes() == getattr(head, name).tobytes()
         assert full.cues[:3] == head.cues
 
 
@@ -169,7 +163,6 @@ class TestDatasetIO:
         assert (loaded.labels == structure_ds.labels).all()
         assert (loaded.boxes == structure_ds.boxes).all()
         assert (loaded.masks == structure_ds.masks).all()
-        assert (loaded.masks2 == structure_ds.masks2).all()
         assert loaded.cues == structure_ds.cues
         assert loaded.num_classes == 2
 
@@ -197,9 +190,8 @@ class TestDatasetIO:
             data.load_dataset(str(out))
 
     @pytest.mark.parametrize("name,shape", [("img_00002.ppm", (20, 20, 3)),
-                                            ("img_00000_mask.pgm", (20, 20)),
-                                            ("img_00001_mask2.pgm", (16, 20))],
-                             ids=["image", "mask", "inner_mask"])
+                                            ("img_00000_mask.pgm", (20, 20))],
+                             ids=["image", "mask"])
     def test_mixed_sizes_are_data_error(self, tmp_path, name, shape):
         ds = data.generate("structure", 3, np.random.default_rng(5), image_size=16)
         data.write_dataset(ds, str(tmp_path))
@@ -208,6 +200,16 @@ class TestDatasetIO:
         with pytest.raises(DataError, match=f"{name} is {shape[1]}x{shape[0]} pixels, "
                                             "but the first image is 16x16"):
             data.load_dataset(str(tmp_path))
+
+    def test_old_inner_masks_are_ignored(self, tmp_path, structure_ds):
+        # an older directory's `_mask2.pgm` files, one of them the wrong size
+        data.write_dataset(structure_ds, str(tmp_path))
+        for i in range(len(structure_ds)):
+            netpbm.write_pgm_p5(tmp_path / f"img_{i:05d}_mask2.pgm",
+                                np.zeros((16, 20) if i == 1 else (64, 64), dtype=np.uint8))
+        loaded = data.load_dataset(str(tmp_path))
+        for name in ("images", "labels", "boxes", "masks"):
+            assert getattr(loaded, name).tobytes() == getattr(structure_ds, name).tobytes()
 
     @pytest.mark.parametrize("box", ["5,5,2,2", "3,3,3,8", "0,0,17,8", "-1,0,4,4"],
                              ids=["inverted", "empty", "past_the_edge", "negative"])

@@ -7,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from pronext import explain
+from pronext import autodiff as ad
+from pronext import data, explain
 from pronext import model as M
+from pronext import train as T
 from pronext.errors import InputError
 
 
@@ -338,10 +340,12 @@ class TestModelExtraction:
         model = M.ProNextModel(cfg, seed=0)
         rng = np.random.default_rng(3)
         images = rng.random((3, 32, 32, 3)).astype(np.float32)
-        pred = explain.predict(model, images)
-        assert pred.logits.shape == (3, 4)
-        for m in pred.stage_masks:
-            maps = explain.score_maps(m.probs, 32)
+        logits, probs, binaries = explain.stage_grids(model, images)
+        assert logits.shape == (3, 4)
+        assert [p.shape for p in probs] == [b.shape for b in binaries] == [
+            (3, 8, 8), (3, 4, 4), (3, 2, 2)]
+        for p in probs:
+            maps = explain.score_maps(p, 32)
             assert maps.shape == (3, 32, 32)
             x0, y0, x1, y1 = explain.boxes(maps, 0.5).T
             assert ((0 <= x0) & (x0 < x1) & (x1 <= 32) & (0 <= y0) & (y0 < y1)
@@ -354,9 +358,69 @@ class TestModelExtraction:
                             embed_dim=16, ca_layers=1, ca_heads=2).validate()
         model = M.ProNextModel(cfg, seed=1)
         images = np.random.default_rng(4).random((2, 32, 32, 3)).astype(np.float32)
-        a, b = (explain.score_maps(explain.predict(model, images).stage_masks[0].probs, 32)
+        a, b = (explain.score_maps(explain.stage_grids(model, images)[1][0], 32)
                 for _ in range(2))
         assert a.tobytes() == b.tobytes()
+
+
+METRICS_CSV_COLUMNS = ["gt_known", "top1_loc", "top5_loc", "max_box_acc_v1",
+                       "max_box_acc_v2", "iou", "dice"]
+# a 2-step spatial-attention checkpoint on 16 px `interaction` images
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "parent_step2.ckpt")
+
+
+def centred_gaussian_grids(n, P, sigma=0.3):
+    """The centre prior: one isotropic Gaussian over the image centre."""
+    c = (np.arange(P) + 0.5) / P - 0.5
+    return np.broadcast_to(np.exp(-(c[:, None] ** 2 + c ** 2) / (2 * sigma ** 2)), (n, P, P))
+
+
+class TestExplainPath:
+    """`explain.explain` is the one path from grids to the metrics row."""
+
+    def check_against_the_parts(self, probs, seg_probs, class_scores, ds, tau):
+        metrics, maps, tau_boxes, peaks = explain.explain(probs, seg_probs, class_scores,
+                                                          ds, tau)
+        assert list(metrics) == METRICS_CSV_COLUMNS
+        want_maps = explain.score_maps(probs, ds.image_size)
+        assert maps.tobytes() == want_maps.tobytes()
+        assert tau_boxes.tolist() == explain.boxes(want_maps, tau).tolist()
+        seg = explain.seg_metrics(explain.largest_components(
+            explain.score_maps(seg_probs, ds.image_size) > tau), ds.masks)
+        assert metrics == {**explain.loc_metrics(want_maps, tau_boxes, ds.boxes, class_scores,
+                                                 ds.labels, tau),
+                           "iou": seg["iou"].mean(), "dice": seg["dice"].mean()}
+        assert peaks.tolist() == [m[y0:y1, x0:x1].max()
+                                  for m, (x0, y0, x1, y1) in zip(maps, tau_boxes)]
+        return metrics
+
+    def test_centred_gaussian_baseline(self):
+        ds = data.generate("structure", 12, np.random.default_rng(11), image_size=32)
+        scores = np.random.default_rng(12).random((len(ds), 2))
+        metrics = self.check_against_the_parts(centred_gaussian_grids(len(ds), 8),
+                                               centred_gaussian_grids(len(ds), 4),
+                                               scores, ds, 0.5)
+        assert all(0.0 <= v <= 1.0 for v in metrics.values())
+
+    def test_shuffled_trained_probabilities(self):
+        ds = data.generate("interaction", 24, np.random.default_rng(6), image_size=16)
+        logits, probs, _ = explain.stage_grids(T.load_model_from_checkpoint(FIXTURE),
+                                               ds.images)
+        perm = np.random.default_rng(13).permutation(len(ds))
+        for tau in (0.3, 0.5):
+            self.check_against_the_parts(probs[0][perm], probs[1][perm], logits, ds, tau)
+
+    def test_stage_grids_concatenates_its_batches(self, monkeypatch):
+        model = T.load_model_from_checkpoint(FIXTURE)
+        images = np.random.default_rng(14).random((12, 16, 16, 3))
+        monkeypatch.setattr(explain, "BATCH", 5)
+        logits, probs, binaries = explain.stage_grids(model, images)
+        with ad.no_grad():
+            preds = [model.forward(images[s:s + 5].astype(np.float32)) for s in (0, 5, 10)]
+        assert logits.tobytes() == np.concatenate([p.logits.data for p in preds]).tobytes()
+        for l, (p, b) in enumerate(zip(probs, binaries)):
+            assert p.tobytes() == np.concatenate([q.stage_masks[l].probs for q in preds]).tobytes()
+            assert b.tobytes() == np.concatenate([q.stage_masks[l].binary for q in preds]).tobytes()
 
 
 class TestExports:

@@ -242,7 +242,6 @@ class TestShiftParse:
             assert set(np.unique(m.binary)) <= {0.0, 1.0}
             P2 = m.grid_side ** 2
             assert np.all(m.n_focal >= 1) and np.all(m.n_focal <= P2 - 1)
-            assert np.all(m.n_focal + m.n_context == P2)
             # hard mask tensor forward is exactly the binary map
             np.testing.assert_array_equal(m.mask.data, m.binary)
 
