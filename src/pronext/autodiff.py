@@ -17,10 +17,12 @@ intermediate gradients and the arrays the closures saved are freed during the
 sweep, not after it. Only leaves keep `.grad`; a second backward that reaches
 a consumed op node raises GraphError.
 
-All image-like tensors are channels-last. Spatial kernels accept either a
+All image-like tensors are channels-last. `conv2d`, `max_pool2d`, the two
+average pools, `bilinear_sample` and `deformable_conv2d` accept either a
 single sample (H, W, C) or a batch (B, H, W, C); single samples are promoted
 to a batch of one internally and squeezed on the way out. Attention takes
-(N, D) or (B, N, D) tokens the same way.
+(N, D) or (B, N, D) tokens the same way. `block_norm`, `depthwise_conv2d`,
+`upsample_nearest2d` and `gather_tokens` take a batch only.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .errors import ConfigError, DimensionError, GraphError, InputError, Numeric
 
 _DTYPE = np.float32
 _GRAD_ENABLED = True
-_STRICT_FINITE = False
 
 
 def default_dtype():
@@ -70,18 +71,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-@contextlib.contextmanager
-def strict_finite():
-    """Check every op output for NaN/Inf (slow; tests and debugging)."""
-    global _STRICT_FINITE
-    prev = _STRICT_FINITE
-    _STRICT_FINITE = True
-    try:
-        yield
-    finally:
-        _STRICT_FINITE = prev
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +179,6 @@ def topo_order(root):
 
 
 def _make(data, parents, backward, op):
-    if _STRICT_FINITE and not np.all(np.isfinite(data)):
-        raise NumericError(f"non-finite values produced by op '{op}'")
     out = Tensor(data, dtype=data.dtype)
     out._op = op
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
@@ -612,10 +599,9 @@ def softmax_weighted(x, weights):
     weights themselves. Each row must have positive total weight. Only
     positive-weight entries are exponentiated, so a zero-weight entry far
     above the rest cannot overflow, and an exactly-zero weight gets a zero
-    weight-gradient.
+    weight-gradient. `weights` is a Tensor that broadcasts against x.
     """
-    w = weights.data if isinstance(weights, Tensor) else np.asarray(weights, dtype=x.dtype)
-    w = np.broadcast_to(w, x.shape)
+    w = np.broadcast_to(weights.data, x.shape)
     z = x.data
     finite_max = np.where(w > 0, z, -np.inf).max(axis=-1, keepdims=True)
     if not np.all(np.isfinite(finite_max)):
@@ -628,20 +614,19 @@ def softmax_weighted(x, weights):
     def backward(g):
         da = (g - (g * data).sum(axis=-1, keepdims=True)) / S
         _accum(x, da * aw)
-        if isinstance(weights, Tensor) and weights.requires_grad:
+        if weights.requires_grad:
             _accum(weights, _sum_to(da * e, weights.shape))
 
-    parents = (x, weights) if isinstance(weights, Tensor) else (x,)
-    return _make(data, parents, backward, "softmax_weighted")
+    return _make(data, (x, weights), backward, "softmax_weighted")
 
 
 def softmax_cross_entropy(logits, target):
     """Mean over the batch of -sum(target * log softmax(logits)).
 
-    Target rows must sum to 1 (soft targets allowed); the gradient w.r.t.
-    logits is (softmax - target) / B.
+    target is an array like logits whose rows sum to 1 (soft targets
+    allowed); the gradient w.r.t. logits is (softmax - target) / B.
     """
-    t = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=logits.dtype)
+    t = np.asarray(target, dtype=logits.dtype)
     if t.shape != logits.shape:
         raise DimensionError("softmax_cross_entropy: target shape differs from logits")
     if np.any(np.abs(t.sum(axis=-1) - 1.0) > 1e-6):
@@ -778,18 +763,17 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     return reshape(res, res.shape[1:]) if squeeze else res
 
 
-def depthwise_conv2d(x, w, b=None):
+def depthwise_conv2d(x, w, b):
     """Depthwise convolution, stride 1, zero padded, channel-preserving.
 
-    x: (B, H, W, C); w: (kh, kw, C); b: (C,) optional.
+    x: (B, H, W, C), a batch only; w: (kh, kw, C); b: (C,).
     """
-    xb, squeeze = _as_batched(x)
-    B, H, W, C = xb.shape
+    B, H, W, C = x.shape
     kh, kw, Cw = w.shape
     if Cw != C:
         raise DimensionError("depthwise_conv2d: channel mismatch")
     ph, pw = kh // 2, kw // 2
-    xp = _pad_hw(xb.data, ph, pw)
+    xp = _pad_hw(x.data, ph, pw)
     taps = list(np.ndindex(kh, kw))
     # one pass per tap, each over a shifted view of xp: a per-pixel
     # contraction over the kh*kw taps would run a 9-long inner loop
@@ -797,31 +781,28 @@ def depthwise_conv2d(x, w, b=None):
     prod = np.empty_like(data)
     for i, j in taps[1:]:
         data += np.multiply(xp[:, i:i + H, j:j + W], w.data[i, j], out=prod)
-    if b is not None:
-        data += b.data
+    data += b.data
 
     # the graph keeps x, not its padded copy: the weight gradient pads again
     def backward(g):
         ones = np.ones(B * H * W, dtype=g.dtype)
         if w.requires_grad:
-            xp = _pad_hw(xb.data, ph, pw)
+            xp = _pad_hw(x.data, ph, pw)
             gw = np.empty_like(w.data)
             prod = np.empty_like(g)
             for i, j in taps:
                 np.multiply(xp[:, i:i + H, j:j + W], g, out=prod)
                 gw[i, j] = ones @ prod.reshape(-1, C)
             _accum(w, gw)
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             _accum(b, ones @ g.reshape(-1, C))
-        if xb.requires_grad:
-            gxp = np.zeros((B, H + 2 * ph, W + 2 * pw, C), dtype=xb.data.dtype)
+        if x.requires_grad:
+            gxp = np.zeros((B, H + 2 * ph, W + 2 * pw, C), dtype=x.data.dtype)
             for i, j in taps:
                 gxp[:, i:i + H, j:j + W, :] += g * w.data[i, j]
-            _accum(xb, gxp[:, ph:ph + H, pw:pw + W, :])
+            _accum(x, gxp[:, ph:ph + H, pw:pw + W, :])
 
-    parents = (xb, w) if b is None else (xb, w, b)
-    res = _make(data, parents, backward, "depthwise_conv2d")
-    return reshape(res, res.shape[1:]) if squeeze else res
+    return _make(data, (x, w, b), backward, "depthwise_conv2d")
 
 
 def max_pool2d(x, window, stride):
@@ -1048,11 +1029,10 @@ def multi_head_cross_attention(query, keyval, heads, params, key_weights=None):
 
     logits = mul_const(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
     if key_weights is None:
-        attn = softmax_weighted(logits, np.ones(Nk, dtype=logits.dtype))
-    else:
-        kw_t = key_weights if isinstance(key_weights, Tensor) else Tensor(key_weights, dtype=logits.dtype)
-        kw_b = reshape(kw_t, (1, 1, 1, Nk)) if kw_t.ndim == 1 else reshape(kw_t, (B, 1, 1, Nk))
-        attn = softmax_weighted(logits, kw_b)
+        key_weights = np.ones(Nk)
+    if not isinstance(key_weights, Tensor):
+        key_weights = Tensor(key_weights, dtype=logits.dtype)
+    attn = softmax_weighted(logits, reshape(key_weights, (-1, 1, 1, Nk)))
     ctx = reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (B, Nq, D))
     out = linear(ctx, params.wo, params.bo)
     return reshape(out, (Nq, D)) if squeeze else out

@@ -91,9 +91,14 @@ def _clutter(img, rng, colors, count, size, r_lo=2, r_hi=6):
     return touched
 
 
-def _bbox_of(mask):
-    ys, xs = np.nonzero(mask)
-    return np.array([xs.min(), ys.min(), xs.max() + 1, ys.max() + 1], dtype=np.int64)
+def mask_boxes(masks):
+    """(N, H, W) masks -> (N, 4) int64 boxes (x0, y0, x1, y1), inclusive-
+    exclusive: each mask's row and column extents, read with argmax from both
+    ends. An empty mask has no extent, so both ends read 0: the full image."""
+    _, H, W = masks.shape
+    rows, cols = masks.any(axis=2), masks.any(axis=1)
+    return np.stack([cols.argmax(axis=1), rows.argmax(axis=1), W - cols[:, ::-1].argmax(axis=1),
+                     H - rows[:, ::-1].argmax(axis=1)], axis=1).astype(np.int64)
 
 
 def _make_glyphs():
@@ -260,7 +265,7 @@ def generate(task, n, rng, image_size=64, num_classes=None):
     masks = np.stack(masks)
     return Dataset(name=task, images=np.stack(images),
                    labels=np.array(labels, dtype=np.int64),
-                   boxes=np.stack([_bbox_of(m) for m in masks]), masks=masks,
+                   boxes=mask_boxes(masks), masks=masks,
                    cues=list(cues), num_classes=k)
 
 

@@ -8,13 +8,12 @@ the S-pixel image (the stem preserves resolution), so `score_maps`
 bilinearly interpolates a batch of grids up to image resolution. Any grid
 works the same way: a trained stage's, an untrained model's, or a baseline
 such as a centred Gaussian. Every step takes the whole (N, ...) stack:
-`boxes` thresholds the score maps and takes each map's largest 4-connected
-component's row and column extents (the full image when the threshold
-empties a map), and `box_ious` and `seg_metrics` score the stacks against
-the ground truth. The segmentation masks are those largest components;
-labelling them is the one step that runs per map.
-
-Box convention: (x0, y0, x1, y1), inclusive-exclusive pixel coordinates.
+`boxes` thresholds the score maps, keeps each map's largest 4-connected
+component and boxes it with `data.mask_boxes` (the full image when the
+threshold empties a map), and `box_ious` and `seg_metrics` score the stacks
+against the ground truth. The segmentation masks are those largest
+components; labelling them is the one step that runs per map, and `explain`
+labels each grid once per threshold.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ import os
 import numpy as np
 
 from . import autodiff as ad
+from .data import mask_boxes
 from .errors import InputError
 from .netpbm import write_pgm_p2, write_pgm_p5
 from .train import bilinear_resize
@@ -69,18 +69,9 @@ def _largest_component(hot):
 
 
 def boxes(maps, tau):
-    """(N, H, W) score maps -> (N, 4) int boxes: threshold at `tau`, keep each
-    sample's largest 4-connected component and take its row and column
-    extents. A sample the threshold empties has no extent, so its argmax
-    reads 0 from both ends and the box falls back to the full image."""
-    if not 0.0 < tau < 1.0:
-        raise InputError("tau must be strictly inside (0, 1)")
-    _, H, W = maps.shape
-    comp = largest_components(maps > tau)
-    rows, cols = comp.any(axis=2), comp.any(axis=1)
-    return np.stack([cols.argmax(axis=1), rows.argmax(axis=1),
-                     W - cols[:, ::-1].argmax(axis=1), H - rows[:, ::-1].argmax(axis=1)],
-                    axis=1)
+    """(N, H, W) score maps -> (N, 4) boxes of each map's largest 4-connected
+    component above `tau`; a map the threshold empties boxes the full image."""
+    return mask_boxes(largest_components(maps > tau))
 
 
 def box_ious(a, b):
@@ -170,15 +161,21 @@ def explain(probs, seg_probs, class_scores, ds, tau):
     """Score one stack of (N, P, P) grids against a dataset -> (the metrics
     in `metrics.csv` column order, the score maps, the `tau` boxes and each
     box's peak, its map's largest value inside it). The largest components
-    of `seg_probs`' maps are the segmentation; class_scores is (N, K)."""
+    of `seg_probs`' maps are the segmentation; class_scores is (N, K). Each
+    grid is labelled once at `tau`, which must lie strictly inside (0, 1)."""
+    if not 0.0 < tau < 1.0:
+        raise InputError(f"tau must be strictly inside (0, 1), got {tau}")
     size = ds.image_size
     maps = score_maps(probs, size)
-    tau_boxes = boxes(maps, tau)
+    comp = largest_components(maps > tau)
+    tau_boxes = mask_boxes(comp)
     ys, xs = np.ogrid[:size, :size]
     x0, y0, x1, y1 = (c[:, None, None] for c in tau_boxes.T)
     in_box = (y0 <= ys) & (ys < y1) & (x0 <= xs) & (xs < x1)
     peaks = np.where(in_box, maps, -np.inf).max(axis=(1, 2))
-    seg = seg_metrics(largest_components(score_maps(seg_probs, size) > tau), ds.masks)
+    if seg_probs is not probs:
+        comp = largest_components(score_maps(seg_probs, size) > tau)
+    seg = seg_metrics(comp, ds.masks)
     metrics = loc_metrics(maps, tau_boxes, ds.boxes, class_scores, ds.labels, tau)
     metrics.update(iou=float(seg["iou"].mean()), dice=float(seg["dice"].mean()))
     return metrics, maps, tau_boxes, peaks

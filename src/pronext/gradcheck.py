@@ -9,6 +9,9 @@ import numpy as np
 from . import autodiff as ad
 from .errors import InputError
 
+# a failing coordinate is re-measured at eps times this and eps over it
+KINK_RETRY_SCALE = 0.25
+
 
 @dataclass
 class GradCheckFailure:
@@ -34,7 +37,7 @@ class GradCheckReport:
 
 
 def grad_check(fn, inputs, eps=1e-5, tol=1e-4, max_elems=48, rng=None,
-               denom_floor=1e-6, kink_retry_scale=0.25):
+               denom_floor=1e-6):
     """Compare reverse-mode gradients of `fn` against central differences.
 
     fn maps the given list of Tensors to a single output Tensor of any shape;
@@ -45,8 +48,8 @@ def grad_check(fn, inputs, eps=1e-5, tol=1e-4, max_elems=48, rng=None,
     Per input tensor, up to `max_elems` coordinates are perturbed. Relative
     error is |analytic - numeric| / max(|analytic|, |numeric|, denom_floor).
 
-    A failing coordinate is re-measured at both eps * kink_retry_scale and
-    eps / kink_retry_scale, and the better of the three results is kept.
+    A failing coordinate is re-measured at both eps * KINK_RETRY_SCALE and
+    eps / KINK_RETRY_SCALE, and the better of the three results is kept.
     Functions in this codebase are differentiable almost everywhere but have
     measure-zero kinks (pooling argmax ties, bilinear integer crossings,
     band-pass rank boundaries): a +-eps stencil that straddles a nearby kink
@@ -103,8 +106,8 @@ def grad_check(fn, inputs, eps=1e-5, tol=1e-4, max_elems=48, rng=None,
                 return abs(ana - n) / max(abs(ana), abs(n), denom_floor)
 
             rel = rel_err(numeric)
-            if rel > tol and kink_retry_scale:
-                for step in (eps * kink_retry_scale, eps / kink_retry_scale):
+            if rel > tol:
+                for step in (eps * KINK_RETRY_SCALE, eps / KINK_RETRY_SCALE):
                     retry = central_diff(step)
                     retry_rel = rel_err(retry)
                     if retry_rel < rel:

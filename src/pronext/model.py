@@ -329,7 +329,6 @@ class ProNextModel:
 
         masks, embeddings = [], []
         for l in range(NUM_STAGES):
-            side_in, chan_in = h.shape[1], h.shape[3]
             if self.stage_parsers[l] is None:
                 out = gaze.plain_abstract(h, self.stage_params[l])
             else:
@@ -337,9 +336,6 @@ class ProNextModel:
                                       self.stage_params[l], mode=mode,
                                       band_pass=cfg.band_pass)
             h = self._apply_block(out.f_next, self.post_blocks[l])
-            if h.shape[1] != side_in // 2 or h.shape[3] != 2 * chan_in:
-                raise DimensionError("stage contract violated: expected spatial "
-                                     "halving and channel doubling")
             masks.append(out.mask)
             embeddings.append(out.e_c)
 

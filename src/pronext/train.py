@@ -30,6 +30,7 @@ ADAM_EPS = 1e-8
 # elements per block of the AdamW update: 128 KiB of float32, so a block's
 # few temporaries fit in L2
 ADAM_BLOCK = 1 << 15
+EVAL_BATCH = 64     # images per forward in `evaluate`
 
 
 @dataclass
@@ -378,14 +379,14 @@ def load_model_from_checkpoint(path):
 # ---------------------------------------------------------------------------
 
 
-def evaluate(model, dataset, batch_size=64):
+def evaluate(model, dataset):
     """Accuracy and mean loss with every image resized to the model's input
-    size; returns (accuracy, mean loss)."""
+    size, EVAL_BATCH images at a time; returns (accuracy, mean loss)."""
     n = len(dataset)
     correct = 0
     losses = []
-    for start in range(0, n, batch_size):
-        idx = np.arange(start, min(start + batch_size, n))
+    for start in range(0, n, EVAL_BATCH):
+        idx = np.arange(start, min(start + EVAL_BATCH, n))
         x = bilinear_resize(dataset.images[idx], model.cfg.input_size)
         y = one_hot(dataset.labels[idx], model.cfg.num_classes)
         with ad.no_grad():

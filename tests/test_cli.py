@@ -54,7 +54,8 @@ class TestTrainCommand:
 
     def test_missing_config_key_exit_1_naming_key(self, workspace, capsys):
         tmp_path, model_cfg, train_cfg, data_dir = workspace
-        lines = [l for l in open(model_cfg) if not l.startswith("patch_size")]
+        with open(model_cfg) as fh:
+            lines = [l for l in fh if not l.startswith("patch_size")]
         broken = tmp_path / "broken.cfg"
         broken.write_text("".join(lines))
         rc = cli.main(["train", "--config", str(broken), "--data", data_dir,
@@ -148,13 +149,20 @@ class TestEvalAndExplain:
     def test_explain_labels_each_threshold_once(self, workspace, monkeypatch):
         rc, out = run_train(workspace, "runI")
         tmp_path, *_, data_dir = workspace
-        seen, real = [], explain_mod.boxes
-        monkeypatch.setattr(explain_mod, "boxes", lambda m, t: seen.append(float(t)) or real(m, t))
-        rc = cli.main(["explain", "--checkpoint", str(out / "final.ckpt"),
-                       "--data", data_dir, "--out", str(tmp_path / "exp_once"), "--quiet"])
-        assert rc == 0
-        # the default tau 0.5 is one of the sweep's thresholds
-        assert sorted(seen) == sorted(explain_mod.V1_THRESHOLDS.tolist())
+        passes, real = [], explain_mod.largest_components
+        monkeypatch.setattr(explain_mod, "largest_components",
+                            lambda hot: passes.append(len(hot)) or real(hot))
+        counts = {}
+        for stage in (1, 2):
+            passes.clear()
+            rc = cli.main(["explain", "--checkpoint", str(out / "final.ckpt"),
+                           "--data", data_dir, "--out", str(tmp_path / f"exp_once{stage}"),
+                           "--stage", str(stage), "--quiet"])
+            assert rc == 0
+            counts[stage] = len(passes)
+        # the default tau 0.5 is one of the 19 sweep thresholds; the stage-2
+        # segmentation is one more pass at stage 1 and the tau pass at stage 2
+        assert counts == {1: 20, 2: 19}
 
     @pytest.mark.parametrize("stage", [1, 3])
     def test_explain_row_is_the_explain_path(self, workspace, stage):
@@ -418,8 +426,9 @@ class TestMalformedInputs:
         tmp_path, model_cfg, train_cfg, data_dir = workspace
         key = line.split(" = ")[0]
         edited = tmp_path / "edited.cfg"
-        edited.write_text("".join(line + "\n" if l.startswith(key + " ") else l
-                                  for l in open(train_cfg)))
+        with open(train_cfg) as fh:
+            edited.write_text("".join(line + "\n" if l.startswith(key + " ") else l
+                                      for l in fh))
         rc = cli.main(["train", "--config", model_cfg, "--train-config", str(edited),
                        "--data", data_dir, "--out", str(tmp_path / "bad"), "--quiet"])
         err = capsys.readouterr().err

@@ -154,6 +154,39 @@ class TestGenerateArguments:
             data.generate(task, 2, np.random.default_rng(0), num_classes=classes)
 
 
+def bbox_of(mask):
+    """Per-mask reference box: the tight (x0, y0, x1, y1) of its nonzero pixels."""
+    ys, xs = np.nonzero(mask)
+    return np.array([xs.min(), ys.min(), xs.max() + 1, ys.max() + 1], dtype=np.int64)
+
+
+class TestMaskBoxes:
+    @pytest.mark.parametrize("density", [0.02, 0.2, 0.7])
+    def test_equals_per_mask_nonzero_oracle(self, density):
+        # sparse random masks hold several components; the box spans them all
+        rng = np.random.default_rng(int(density * 100))
+        masks = (rng.random((40, 9, 13)) < density).astype(np.uint8)
+        masks[0] = 0
+        masks[0, 4, 6] = 1                        # one pixel
+        masks[1] = 0
+        masks[1, 0, 0] = masks[1, 8, 12] = 1      # two far corners
+        masks = masks[masks.any(axis=(1, 2))]
+        got = data.mask_boxes(masks)
+        assert got.dtype == np.int64 and got.shape == (len(masks), 4)
+        assert got.tolist() == [bbox_of(m).tolist() for m in masks]
+
+    def test_empty_mask_gives_full_image(self):
+        masks = np.zeros((3, 6, 8), dtype=bool)
+        masks[1, 2:4, 3] = True
+        assert data.mask_boxes(masks).tolist() == [[0, 0, 8, 6], [3, 2, 4, 4], [0, 0, 8, 6]]
+
+    @pytest.mark.parametrize("task", data.TASKS)
+    def test_generated_boxes_are_the_oracle_boxes(self, task):
+        ds = data.generate(task, 12, np.random.default_rng(8), image_size=24)
+        assert ds.boxes.dtype == np.int64
+        assert ds.boxes.tolist() == [bbox_of(m).tolist() for m in ds.masks]
+
+
 class TestDatasetIO:
     def test_round_trip(self, tmp_path, structure_ds):
         out = tmp_path / "structure"

@@ -132,10 +132,12 @@ class TestMapToBbox:
         assert (explain.boxes(scaled, 0.5 * tau + 0.2) == base).all()
 
     def test_tau_bounds(self):
-        with pytest.raises(InputError):
-            explain.boxes(np.zeros((2, 4, 4)), 0.0)
-        with pytest.raises(InputError):
-            explain.boxes(np.zeros((2, 4, 4)), 1.0)
+        # `explain` checks tau before it thresholds anything
+        ds = data.generate("structure", 2, np.random.default_rng(15), image_size=32)
+        grids = np.full((2, 8, 8), 0.5)
+        for tau in (0.0, 1.0, -0.5, 1.5, float("nan")):
+            with pytest.raises(InputError, match="tau must be strictly inside"):
+                explain.explain(grids, grids, np.eye(2), ds, tau)
 
 
 def loc_metrics(maps, gt_boxes, class_scores, gt_classes, tau):
@@ -410,6 +412,15 @@ class TestExplainPath:
         for tau in (0.3, 0.5):
             self.check_against_the_parts(probs[0][perm], probs[1][perm], logits, ds, tau)
 
+    def test_segmentation_grid_is_the_scored_grid(self):
+        # `pronext explain --stage 2` passes one grid for both roles
+        ds = data.generate("interaction", 24, np.random.default_rng(6), image_size=16)
+        logits, probs, _ = explain.stage_grids(T.load_model_from_checkpoint(FIXTURE),
+                                               ds.images)
+        for tau in (0.3, 0.5):
+            same = self.check_against_the_parts(probs[1], probs[1], logits, ds, tau)
+            assert same == explain.explain(probs[1], probs[1].copy(), logits, ds, tau)[0]
+
     def test_stage_grids_concatenates_its_batches(self, monkeypatch):
         model = T.load_model_from_checkpoint(FIXTURE)
         images = np.random.default_rng(14).random((12, 16, 16, 3))
@@ -446,7 +457,8 @@ class TestExports:
         paths = explain.export_stage_masks(masks, str(tmp_path))
         assert all(p.endswith(f"mask_stage{i}.pgm") for i, p in enumerate(paths, 1))
         for mask, path in zip(masks, paths):
-            tokens = open(path, encoding="ascii").read().split()
+            with open(path, encoding="ascii") as fh:
+                tokens = fh.read().split()
             assert tokens[:4] == ["P2", "4", "4", "1"]
             np.testing.assert_array_equal(np.array(tokens[4:], dtype=np.int64).reshape(4, 4),
                                           mask)

@@ -100,7 +100,7 @@ def conditional_position_encoding(focal_tokens, context_tokens, positions, param
     grid = np.zeros((P * P, D), dtype=focal_tokens.dtype)
     grid[idx_f] = focal_tokens.data
     grid[idx_c] = context_tokens.data
-    enc = ad.depthwise_conv2d(_tensor(grid.reshape(P, P, D)), params.pe_w, params.pe_b)
+    enc = ad.depthwise_conv2d(_tensor(grid.reshape(1, P, P, D)), params.pe_w, params.pe_b)
     enc = enc.data.reshape(P * P, D)
     return _tensor(enc[idx_f]), _tensor(enc[idx_c])
 

@@ -730,20 +730,22 @@ class TestLoadArraysRobustness:
 
 
 class TestEvaluate:
-    def test_accuracy_bounds_and_loss(self):
+    def test_accuracy_bounds_and_loss(self, monkeypatch):
+        monkeypatch.setattr(T, "EVAL_BATCH", 5)
         model = tiny_model()
         ds = tiny_dataset(n=12)
-        acc, loss = T.evaluate(model, ds, batch_size=5)
+        acc, loss = T.evaluate(model, ds)
         assert 0.0 <= acc <= 1.0
         assert abs(loss - math.log(4)) < 1e-5  # zero-init head
 
-    def test_batched_resize_equals_per_image_resize_and_forward(self):
+    def test_batched_resize_equals_per_image_resize_and_forward(self, monkeypatch):
         # a 64 px dataset on a 32 px model: each batch is resized in one call
         model = tiny_model(input_size=32)
         model.mlp_w2.data = np.random.default_rng(8).standard_normal(
             model.mlp_w2.shape).astype(np.float32)
         ds = tiny_dataset(n=7, size=64)
-        acc, loss = T.evaluate(model, ds, batch_size=4)
+        monkeypatch.setattr(T, "EVAL_BATCH", 4)
+        acc, loss = T.evaluate(model, ds)
         correct, losses = 0, []
         for start in (0, 4):
             x = np.stack([bilinear_resize_one(img, 32) for img in ds.images[start:start + 4]])
