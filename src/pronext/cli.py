@@ -53,10 +53,13 @@ def start_run(args, config_path, seed, config_payload=None):
     create `args.out` (refusing a non-empty one without --force) and write
     the manifest into it. `config_hash` is the blob hash of `config_payload`
     or, without one, of the file at `config_path`."""
-    if os.path.exists(args.out) and os.listdir(args.out) and not args.force:
-        raise ConfigError(f"output directory '{args.out}' exists and is not empty "
-                          "(use --force to overwrite)")
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        if os.path.exists(args.out) and os.listdir(args.out) and not args.force:
+            raise ConfigError(f"output directory '{args.out}' exists and is not empty "
+                              "(use --force to overwrite)")
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:   # a file at or above `args.out`, no permission
+        raise ConfigError(f"output directory '{args.out}': {exc.strerror}") from None
     manifest = {
         "command": args.command,
         "config": config_path or "",
@@ -129,19 +132,23 @@ def _resolve_configs(args):
     return cfg, tcfg.validate()
 
 
-def _check_classes(datasets, cfg):
+def _check_datasets(datasets, cfg):
     """DataError unless every dataset has the model's class count, without
-    which neither the loss nor the metrics can be computed."""
+    which neither the loss nor the metrics can be computed, and its channel
+    count, without which the stem cannot run."""
     for ds in datasets:
         if ds.num_classes != cfg.num_classes:
             raise DataError(f"dataset '{ds.name}' has {ds.num_classes} classes, "
                             f"model expects {cfg.num_classes}")
+        if ds.images.shape[-1] != cfg.in_channels:
+            raise DataError(f"dataset '{ds.name}' has {ds.images.shape[-1]} channels, "
+                            f"model expects {cfg.in_channels}")
 
 
 def cmd_train(args):
     cfg, tcfg = _resolve_configs(args)
     datasets = _load_datasets_arg(args.data)
-    _check_classes([ds for ds, _ in datasets], cfg)
+    _check_datasets([ds for ds, _ in datasets], cfg)
     model = model_mod.ProNextModel(cfg, seed=tcfg.seed)
     trainer = train_mod.Trainer(model, tcfg, datasets)
     start_run(args, args.config, tcfg.seed)
@@ -156,7 +163,7 @@ def cmd_train(args):
 def cmd_eval(args):
     model = train_mod.load_model_from_checkpoint(args.checkpoint)
     datasets = _load_datasets_arg(args.data)
-    _check_classes([ds for ds, _ in datasets], model.cfg)
+    _check_datasets([ds for ds, _ in datasets], model.cfg)
     start_run(args, args.checkpoint, args.seed)
     lines = ["dataset,acc,loss"]
     for ds, _ in datasets:
@@ -177,7 +184,7 @@ def cmd_explain(args):
     if model.cfg.parser_mode == "none":
         raise ConfigError("checkpointed model has no parser; nothing to explain")
     ds = data_mod.load_dataset(args.data)
-    _check_classes([ds], model.cfg)
+    _check_datasets([ds], model.cfg)
     size = model.cfg.input_size
     if ds.image_size != size:   # boxes and masks are in dataset pixels: no resizing
         raise DataError(f"dataset '{ds.name}' has {ds.image_size}px images, "
@@ -219,9 +226,14 @@ def _desk_ablation_config(num_classes, input_size):
 
 
 def _split(data_dir):
-    """Load a dataset and split it 3:1 into train and test."""
+    """Load a dataset and split it 3:1 into train and test; a dataset too
+    small to leave a training image is a ConfigError."""
     ds = data_mod.load_dataset(data_dir)
-    return data_mod.split_dataset(ds, int(0.75 * len(ds)))
+    n_train = int(0.75 * len(ds))
+    if n_train < 1:
+        raise ConfigError(f"dataset '{ds.name}' in {data_dir} has {len(ds)} image(s); "
+                          "its 3:1 split leaves no training image")
+    return data_mod.split_dataset(ds, n_train)
 
 
 def _run_experiment(args, cells, payload, table_name, table):
@@ -281,9 +293,17 @@ def cmd_flops(args):
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A malformed command line is a configuration error (exit 1), not
+    argparse's own exit 2; subcommand parsers inherit this class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_arg_parser():
-    p = argparse.ArgumentParser(prog="pronext",
-                                description="hierarchical focal/context recognition harness")
+    p = _ArgumentParser(prog="pronext",
+                        description="hierarchical focal/context recognition harness")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, seed_default=0):
@@ -359,8 +379,8 @@ COMMANDS = {
 
 
 def main(argv=None):
-    args = build_arg_parser().parse_args(argv)
     try:
+        args = build_arg_parser().parse_args(argv)
         return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -21,20 +21,23 @@ is 1 by construction). Every image is quantized to 8-bit levels at
 generation time so the PPM/PGM round trip is lossless.
 
 Directory layout: index.csv with `filename,label,x0,y0,x1,y1` lines, P6
-images, P5 object masks named `<image>_mask.pgm`, and a cues.csv sidecar
-recording the generative factors. Other files in the directory (an older
-version's `_mask2.pgm` inner-structure masks) are not read.
+images, P5 object masks named `<image>_mask.pgm`, and meta.csv (`name` and
+`num_classes`). Other files in the directory (an older version's
+`_mask2.pgm` inner-structure masks or `cues.csv` sidecar) are not read. Every
+file is read through one rule: one that cannot be opened or decoded is a
+DataError naming it. The generative factors (`Dataset.cues`) stay in memory.
 """
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-from .netpbm import read_pgm_p5, read_ppm_p6, write_pgm_p5, write_ppm_p6
+from .netpbm import open_binary, read_pgm_p5, read_ppm_p6, write_pgm_p5, write_ppm_p6
 
 # the smallest image side at which the detail glyph always fits inside its
 # shape; below it the placement loop can find no spot and never ends
@@ -48,7 +51,7 @@ class Dataset:
     labels: np.ndarray                    # (N,) int64
     boxes: np.ndarray                     # (N, 4) int64, (x0, y0, x1, y1)
     masks: np.ndarray                     # (N, H, W) uint8 object masks
-    cues: list = field(default_factory=list)
+    cues: list = field(default_factory=list)  # generative factors, from `generate` only
     num_classes: int = 0
 
     def __len__(self):
@@ -169,7 +172,7 @@ VERTICAL_RATIO_THRESHOLD = 0.6
 
 def _render_structure(r, S, num_classes):
     """Concentric ellipses; label 1 iff vertical radius ratio > 0.6."""
-    # quantize the ratio so the stored cue reproduces the label exactly
+    # quantize the ratio so the cue reproduces the label exactly
     ratio = round(r.uniform(0.35, 0.85), 3)
     label = int(ratio > VERTICAL_RATIO_THRESHOLD)
     img = _speckle(r, S, np.array([0.16, 0.14, 0.15]) * r.uniform(0.8, 1.3), amp=0.05)
@@ -277,7 +280,6 @@ def generate(task, n, rng, image_size=64, num_classes=None):
 def write_dataset(ds, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     lines = []
-    cue_lines = []
     for i in range(len(ds)):
         stem = f"img_{i:05d}"
         write_ppm_p6(os.path.join(out_dir, stem + ".ppm"),
@@ -285,16 +287,23 @@ def write_dataset(ds, out_dir):
         write_pgm_p5(os.path.join(out_dir, stem + "_mask.pgm"), ds.masks[i] * 255)
         x0, y0, x1, y1 = ds.boxes[i]
         lines.append(f"{stem}.ppm,{ds.labels[i]},{x0},{y0},{x1},{y1}")
-        if ds.cues:
-            packed = ";".join(f"{k}={v}" for k, v in sorted(ds.cues[i].items()))
-            cue_lines.append(f"{stem}.ppm,{packed}")
     with open(os.path.join(out_dir, "index.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(os.path.join(out_dir, "meta.csv"), "w", encoding="utf-8") as fh:
         fh.write(f"name,{ds.name}\nnum_classes,{ds.num_classes}\n")
-    if cue_lines:
-        with open(os.path.join(out_dir, "cues.csv"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(cue_lines) + "\n")
+
+
+def _read_lines(path):
+    """(line number, line) pairs of a UTF-8 text file, split as a text-mode
+    file splits them; one that is not UTF-8 is a DataError naming it and the
+    offending byte's offset in the file."""
+    with open_binary(path) as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return list(enumerate(io.StringIO(text, newline=None), 1))
 
 
 def load_dataset(data_dir):
@@ -302,95 +311,66 @@ def load_dataset(data_dir):
     if not os.path.exists(index_path):
         raise DataError(f"{data_dir}: no index.csv")
     images, labels, label_lines, boxes, masks = [], [], [], [], []
-    with open(index_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ParseError(f"expected 6 fields, got {len(parts)}", line=lineno)
-            fname = parts[0]
-            try:
-                label, x0, y0, x1, y1 = (int(p) for p in parts[1:])
-            except ValueError:
-                raise ParseError(f"non-integer field in '{line}'", line=lineno) from None
-            img_path = os.path.join(data_dir, fname)
-            if not os.path.exists(img_path):
-                raise DataError(f"index references missing file '{fname}' (line {lineno})")
-            image = read_ppm_p6(img_path)
-            images.append(image.astype(np.float32) / 255.0)
-            labels.append(label)
-            label_lines.append(lineno)
-            boxes.append((x0, y0, x1, y1))
-            stem = fname.rsplit(".", 1)[0]
-            mask_path = os.path.join(data_dir, stem + "_mask.pgm")
-            if not os.path.exists(mask_path):
-                raise DataError(f"missing mask file for '{fname}'")
-            mask = read_pgm_p5(mask_path)
-            masks.append((mask > 127).astype(np.uint8))
-            h, w = images[0].shape[:2]
-            for path, arr in ((img_path, image), (mask_path, mask)):
-                if arr.shape[:2] != (h, w):
-                    raise DataError(f"{path} is {arr.shape[1]}x{arr.shape[0]} pixels, "
-                                    f"but the first image is {w}x{h}")
+    for lineno, line in _read_lines(index_path):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 6:
+            raise ParseError(f"expected 6 fields, got {len(parts)}", line=lineno)
+        fname = parts[0]
+        try:
+            label, x0, y0, x1, y1 = (int(p) for p in parts[1:])
+        except ValueError:
+            raise ParseError(f"non-integer field in '{line}'", line=lineno) from None
+        img_path = os.path.join(data_dir, fname)
+        mask_path = os.path.join(data_dir, fname.rsplit(".", 1)[0] + "_mask.pgm")
+        image = read_ppm_p6(img_path)
+        images.append(image.astype(np.float32) / 255.0)
+        labels.append(label)
+        label_lines.append(lineno)
+        boxes.append((x0, y0, x1, y1))
+        mask = read_pgm_p5(mask_path)
+        masks.append((mask > 127).astype(np.uint8))
+        h, w = images[0].shape[:2]
+        for path, arr in ((img_path, image), (mask_path, mask)):
+            if arr.shape[:2] != (h, w):
+                raise DataError(f"{path} is {arr.shape[1]}x{arr.shape[0]} pixels, "
+                                f"but the first image is {w}x{h}")
+        if not (0 <= x0 < x1 <= w and 0 <= y0 < y1 <= h):
+            raise DataError(f"{index_path}:{lineno}: box {(x0, y0, x1, y1)} "
+                            f"is not a non-empty box inside the {w}x{h} image")
     if not labels:
         raise DataError(f"{index_path}: no samples")
 
     name, num_classes = os.path.basename(os.path.normpath(data_dir)), 0
     meta_path = os.path.join(data_dir, "meta.csv")
     if os.path.exists(meta_path):
-        with open(meta_path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                key, _, val = line.strip().partition(",")
-                if key == "name":
-                    name = val
-                elif key == "num_classes":
-                    try:
-                        num_classes = int(val)
-                    except ValueError:
-                        raise DataError(f"{meta_path}:{lineno}: num_classes '{val}' "
-                                        "is not an integer") from None
+        for lineno, line in _read_lines(meta_path):
+            key, _, val = line.strip().partition(",")
+            if key == "name":
+                name = val
+            elif key == "num_classes":
+                try:
+                    num_classes = int(val)
+                except ValueError:
+                    raise DataError(f"{meta_path}:{lineno}: num_classes '{val}' "
+                                    "is not an integer") from None
     if not num_classes:
         num_classes = int(max(labels)) + 1
     for label, lineno in zip(labels, label_lines):
         if not 0 <= label < num_classes:
             raise DataError(f"{index_path}:{lineno}: label {label} outside "
                             f"[0, {num_classes})")
-
-    cues = []
-    cues_path = os.path.join(data_dir, "cues.csv")
-    if os.path.exists(cues_path):
-        with open(cues_path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                _, _, packed = line.partition(",")
-                try:
-                    cues.append({k: int(v) for k, v in
-                                 (item.split("=", 1) for item in packed.split(";"))})
-                except ValueError:
-                    raise ParseError("malformed cue record", line=lineno) from None
-
-    boxes = np.array(boxes, dtype=np.int64)
-    x0, y0, x1, y1 = boxes.T
-    bad = ~((0 <= x0) & (x0 < x1) & (x1 <= w) & (0 <= y0) & (y0 < y1) & (y1 <= h))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DataError(f"{index_path}:{label_lines[i]}: box {tuple(boxes[i].tolist())} "
-                        f"is not a non-empty box inside the {w}x{h} image")
     return Dataset(name=name, images=np.stack(images),
                    labels=np.array(labels, dtype=np.int64),
-                   boxes=boxes, masks=np.stack(masks),
-                   cues=cues, num_classes=num_classes)
+                   boxes=np.array(boxes, dtype=np.int64), masks=np.stack(masks),
+                   num_classes=num_classes)
 
 
 def split_dataset(ds, n_train):
     """Deterministic head/tail split (generation order is already random)."""
     def take(sl):
         return Dataset(name=ds.name, images=ds.images[sl], labels=ds.labels[sl],
-                       boxes=ds.boxes[sl], masks=ds.masks[sl],
-                       cues=ds.cues[sl] if ds.cues else [],
-                       num_classes=ds.num_classes)
+                       boxes=ds.boxes[sl], masks=ds.masks[sl], num_classes=ds.num_classes)
     return take(slice(0, n_train)), take(slice(n_train, len(ds)))

@@ -42,6 +42,16 @@ def _dims(fields, path):
     return w, h, maxval
 
 
+def open_binary(path):
+    """`path` opened for binary reading, the one open rule for every dataset
+    file: one that cannot be opened (missing, a directory, unreadable, a NUL
+    byte in its name) is a DataError naming it."""
+    try:
+        return open(path, "rb")
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def _read_header(fh, magic, path):
     got = fh.read(2)
     if got != magic:
@@ -79,7 +89,7 @@ def write_pgm_p5(path, img):
 
 
 def read_pgm_p5(path):
-    with open(path, "rb") as fh:
+    with open_binary(path) as fh:
         w, h = _read_header(fh, b"P5", path)
         raw = _read_pixels(fh, w * h, path)
     return np.frombuffer(raw, dtype=np.uint8).reshape(h, w).copy()
@@ -97,7 +107,7 @@ def write_ppm_p6(path, img):
 
 
 def read_ppm_p6(path):
-    with open(path, "rb") as fh:
+    with open_binary(path) as fh:
         w, h = _read_header(fh, b"P6", path)
         raw = _read_pixels(fh, w * h * 3, path)
     return np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3).copy()

@@ -2,6 +2,8 @@
 
 import json
 import os
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,17 +301,27 @@ class TestMalformedInputs:
         (["ablate", "--data", "{root}", "--tasks", "data", "--seed", "-1"],
          "seed must be >= 0, got -1"),
         (["scale-sweep", "--data", "{data}", "--pairs", "S/4", "--seed", "-1"],
-         "seed must be >= 0, got -1")],
+         "seed must be >= 0, got -1"),
+        (["ablate", "--data", "{tiny}", "--tasks", "one"],
+         "has 1 image(s); its 3:1 split leaves no training image"),
+        (["scale-sweep", "--data", "{tiny}/one", "--pairs", "S/4"],
+         "has 1 image(s); its 3:1 split leaves no training image"),
+        (["gen-data", "--task", "detail", "--n", "abc"],
+         "pronext gen-data: argument --n: invalid int value: 'abc'")],
         ids=["train_data_weight", "train_data_weight_nan", "train_data_weight_inf",
              "flops_pairs", "scale_sweep_pairs", "explain_tau", "gen_data_size_0",
              "gen_data_size_4", "gen_data_size_8", "gen_data_n_0", "gen_data_classes_0",
              "gen_data_structure_classes_3", "ablate_seeds_0", "scale_sweep_seeds_0",
              "ablate_batch_size_0", "ablate_lr_nan", "scale_sweep_batch_size_0",
              "scale_sweep_variant_too_coarse", "gen_data_seed_negative",
-             "train_seed_negative", "ablate_seed_negative", "scale_sweep_seed_negative"])
+             "train_seed_negative", "ablate_seed_negative", "scale_sweep_seed_negative",
+             "ablate_one_image", "scale_sweep_one_image", "gen_data_n_not_int"])
     def test_malformed_argument_exit_1(self, workspace, capsys, argv, message):
         tmp_path, model_cfg, train_cfg, data_dir = workspace
-        argv = [a.format(data=data_dir, root=tmp_path) for a in argv]
+        if "{tiny}" in argv[2]:
+            assert cli.main(["gen-data", "--task", "interaction", "--n", "1", "--image-size",
+                             "32", "--out", str(tmp_path / "tiny" / "one"), "--quiet"]) == 0
+        argv = [a.format(data=data_dir, root=tmp_path, tiny=tmp_path / "tiny") for a in argv]
         if argv[0] != "flops":
             argv += ["--out", str(tmp_path / "bad")]
         if argv[0] == "train":
@@ -358,6 +370,45 @@ class TestMalformedInputs:
         assert err.startswith("data error:") and "has 8 classes, model expects 4" in err
         assert not (tmp_path / "bad").exists()
 
+
+    @pytest.mark.parametrize("command", ["train", "eval", "explain"])
+    def test_channel_count_mismatch_exit_2(self, workspace, capsys, command):
+        tmp_path, model_cfg, train_cfg, data_dir = workspace
+        cfg = M.load_config(M.ModelConfig, model_cfg)
+        one_channel = tmp_path / "gray.cfg"
+        one_channel.write_text(M.config_text(replace(cfg, in_channels=1)))
+        if command == "train":
+            argv = ["--config", str(one_channel), "--train-config", train_cfg]
+        else:
+            model = M.ProNextModel(M.load_config(M.ModelConfig, one_channel))
+            trainer = T.Trainer(model, T.TrainConfig(crop=32, resize=32),
+                                [(D.load_dataset(data_dir), 1.0)])
+            trainer.save_checkpoint(tmp_path / "gray.ckpt")
+            argv = ["--checkpoint", str(tmp_path / "gray.ckpt")]
+        rc = cli.main([command, *argv, "--data", data_dir, "--out", str(tmp_path / "bad"),
+                       "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error:") and "has 3 channels, model expects 1" in err
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("name,damage", [
+        ("index.csv", lambda path: path.write_bytes(path.read_bytes() + b"\xff\n")),
+        ("meta.csv", lambda path: path.write_bytes(b"\xff" + path.read_bytes())),
+        ("img_00003.ppm", lambda path: path.unlink() or path.mkdir()),
+        ("img_00003_mask.pgm", lambda path: path.unlink() or path.mkdir()),
+        ("img_00003.ppm", lambda path: path.unlink())],
+        ids=["index_not_utf8", "meta_not_utf8", "image_is_directory", "mask_is_directory",
+             "image_missing"])
+    def test_unreadable_dataset_file_exit_2(self, workspace, capsys, name, damage):
+        tmp_path, model_cfg, train_cfg, data_dir = workspace
+        damage(Path(data_dir) / name)
+        rc = cli.main(["train", "--config", model_cfg, "--train-config", train_cfg,
+                       "--data", data_dir, "--out", str(tmp_path / "bad"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"data error: {os.path.join(data_dir, name)}: ")
+        assert not (tmp_path / "bad").exists()
 
     def test_explain_other_image_size_exit_2(self, workspace, capsys):
         # boxes and masks are in dataset pixels, so explain refuses to resize
@@ -452,8 +503,29 @@ class TestGenData:
         assert ia == ib
 
     def test_unknown_task_exit_code(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["gen-data", "--task", "nonsense", "--out", str(tmp_path / "z")])
+        rc = cli.main(["gen-data", "--task", "nonsense", "--out", str(tmp_path / "z")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("configuration error: pronext gen-data: argument --task: "
+                              "invalid choice: 'nonsense'")
+        assert not (tmp_path / "z").exists()
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gen-data", "--help"])
+        assert exc.value.code == 0
+        assert "--task" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["file", "below_file"])
+    def test_out_is_a_file_exit_1(self, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("keep\n")
+        rc = cli.main(["gen-data", "--task", "detail", "--n", "2", "--image-size", "16",
+                       "--out", str(tmp_path / out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"configuration error: output directory '{tmp_path / out}': ")
+        assert os.listdir(tmp_path) == ["file"]
+        assert (tmp_path / "file").read_text() == "keep\n"
 
 
 class TestScaleSweep:

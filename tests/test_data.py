@@ -196,8 +196,8 @@ class TestDatasetIO:
         assert (loaded.labels == structure_ds.labels).all()
         assert (loaded.boxes == structure_ds.boxes).all()
         assert (loaded.masks == structure_ds.masks).all()
-        assert loaded.cues == structure_ds.cues
         assert loaded.num_classes == 2
+        assert not (out / "cues.csv").exists()
 
     def test_index_order_preserved(self, tmp_path, detail_ds):
         out = tmp_path / "detail"
@@ -222,6 +222,26 @@ class TestDatasetIO:
         with pytest.raises(ParseError, match="line 5"):
             data.load_dataset(str(out))
 
+    def test_lineno_counts_cr_and_crlf_but_not_form_feed(self, tmp_path, detail_ds):
+        data.write_dataset(detail_ds, str(tmp_path))
+        index = tmp_path / "index.csv"
+        lines = index.read_bytes().splitlines()
+        lines[4] = b"img_00004.ppm,not_an_int,0,0,4,4"
+        index.write_bytes(lines[0] + b"\x0c\r\n" + lines[1] + b"\r"
+                          + b"\n".join(lines[2:]) + b"\n")
+        with pytest.raises(ParseError, match="line 5"):
+            data.load_dataset(str(tmp_path))
+
+    def test_non_utf8_byte_is_data_error_at_its_file_offset(self, tmp_path, detail_ds):
+        # past the first 8 KiB, where a text-mode reader counts from its own chunk
+        data.write_dataset(detail_ds, str(tmp_path))
+        index = tmp_path / "index.csv"
+        raw = index.read_bytes() + b"\n" * 9000
+        index.write_bytes(raw + b"\xff\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{index}: 'utf-8' codec can't decode byte 0xff in position {len(raw)}")):
+            data.load_dataset(str(tmp_path))
+
     @pytest.mark.parametrize("name,shape", [("img_00002.ppm", (20, 20, 3)),
                                             ("img_00000_mask.pgm", (20, 20))],
                              ids=["image", "mask"])
@@ -243,6 +263,15 @@ class TestDatasetIO:
         loaded = data.load_dataset(str(tmp_path))
         for name in ("images", "labels", "boxes", "masks"):
             assert getattr(loaded, name).tobytes() == getattr(structure_ds, name).tobytes()
+
+    def test_old_cues_sidecar_is_ignored(self, tmp_path, structure_ds):
+        # an older directory's `cues.csv`, malformed and not UTF-8
+        data.write_dataset(structure_ds, str(tmp_path))
+        (tmp_path / "cues.csv").write_bytes(b"img_00000.ppm,ratio_milli=x\n\xff\xfe\n")
+        loaded = data.load_dataset(str(tmp_path))
+        for name in ("images", "labels", "boxes", "masks"):
+            assert getattr(loaded, name).tobytes() == getattr(structure_ds, name).tobytes()
+        assert loaded.cues == []
 
     @pytest.mark.parametrize("box", ["5,5,2,2", "3,3,3,8", "0,0,17,8", "-1,0,4,4"],
                              ids=["inverted", "empty", "past_the_edge", "negative"])

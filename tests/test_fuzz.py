@@ -1,4 +1,5 @@
-"""Seeded mutation sweep over the netpbm readers and the config reader.
+"""Seeded mutation sweep over the netpbm readers, the config reader and a
+dataset directory's text files.
 
 Each case starts from a well-formed input and applies one mutation: a flipped
 bit, a truncation, two whitespace-separated tokens swapped, or one token
@@ -15,10 +16,11 @@ import re
 import numpy as np
 import pytest
 
+from pronext import data
 from pronext import model as M
 from pronext import netpbm
 from pronext import train as T
-from pronext.errors import ProNextError
+from pronext.errors import DataError, ProNextError
 
 CASES_PER_TARGET = 400
 
@@ -104,6 +106,36 @@ class TestNetpbmFuzz:
         path.write_bytes(b"P5\n1048576 1048576\n255\n\x00\x00")
         with pytest.raises(ProNextError, match="truncated pixel data"):
             netpbm.read_pgm_p5(path)
+
+
+@pytest.fixture()
+def dataset_dir(tmp_path):
+    ds = data.generate("structure", 3, np.random.default_rng(5), image_size=16)
+    data.write_dataset(ds, str(tmp_path))
+    return tmp_path
+
+
+def _dataset_reader(data_dir, name):
+    def read(blob):
+        (data_dir / name).write_bytes(blob)
+        data.load_dataset(str(data_dir))
+    return read
+
+
+class TestDatasetFuzz:
+    @pytest.mark.parametrize("name,seed", [("index.csv", 6), ("meta.csv", 7)],
+                             ids=["index", "meta"])
+    def test_text_file(self, dataset_dir, name, seed):
+        blob = (dataset_dir / name).read_bytes()
+        assert _sweep(blob, _dataset_reader(dataset_dir, name), seed=seed) == []
+
+    @pytest.mark.parametrize("name", ["img_00001.ppm", "img_00001_mask.pgm"],
+                             ids=["image", "mask"])
+    def test_directory_in_place_of_a_file_is_data_error(self, dataset_dir, name):
+        (dataset_dir / name).unlink()
+        (dataset_dir / name).mkdir()
+        with pytest.raises(DataError, match=re.escape(f"{dataset_dir / name}: ")):
+            data.load_dataset(str(dataset_dir))
 
 
 def _config_reader(cls):
